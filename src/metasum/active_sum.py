@@ -30,6 +30,14 @@ element written as a power of its member's generator) and exists solely as a
 correctness oracle for the reduction above; both presentations must
 enumerate to the same order.
 
+``abelianized_order`` computes ab(S) from the sparse exponent-sum rows of
+the relators with ``lattice.abelian_quotient_mod``, working modulo N, the lcm
+of the generator orders.  That is valid because every generator x_F has its
+power relator x_F**|F|, so N * e_F lies in the relation lattice for every F.
+It is still a lattice computation on the presentation's relation matrix, not
+the closed form it is compared with; the certified Smith form (with U and V)
+is kept for the places that need coordinates, and as the tests' oracle.
+
 ``verdict`` ties everything together: family checks (generating, regular,
 independent), the Ganea criterion, the coset-enumerated |S|, and the
 abelianizations of both sides.  It also asserts the two implications the
@@ -41,6 +49,7 @@ violation, since those would signal an implementation bug.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -67,7 +76,7 @@ from .families import (
     is_independent,
     is_regular,
 )
-from .lattice import AbelianStructure, IntMatrix, abelian_quotient
+from .lattice import AbelianStructure, abelian_quotient_mod
 from .structure import ganea_check
 
 DEFAULT_COSET_FACTOR = 10  # max_cosets defaults to this multiple of |G|
@@ -153,7 +162,7 @@ def _conjugation_relator(
     try:
         i_target = index_of[(target, family.components[i2])]
     except KeyError:
-        raise ValueError("family is not conjugation closed") from None
+        raise InternalCheckError("family is not conjugation closed") from None
     image = conjugate(p, g, h)
     try:
         e = element_log(p, members[i_target].generator, image)
@@ -184,7 +193,7 @@ def build_active_sum_presentation(
     members = family.subgroups
     for sub in members:
         if sub.generator is None:
-            raise ValueError(
+            raise InternalCheckError(
                 "active-sum presentations need cyclic members with generator witnesses"
             )
     index_of = {pair: i for i, pair in enumerate(family.indexed_members())}
@@ -220,17 +229,34 @@ def todd_coxeter(
 
 
 def abelianized_order(pres: FpPresentation) -> AbelianStructure:
-    """Invariant factors of the presentation's abelianization (exponent sums + SNF)."""
-    n = pres.ngens
-    if n == 0:
-        return abelian_quotient(IntMatrix(entries=()))
+    """Invariant factors of the presentation's abelianization.
+
+    Each relator contributes its exponent-sum row, kept sparse.  The rows are
+    reduced modulo N = lcm of the generator orders, which requires N * e_F in
+    the relation lattice for every generator: the power relator x_F**|F| has
+    row |F| * e_F and |F| divides N.  A generator without one would make the
+    reduction wrong, so it raises InternalCheckError.
+    """
+    orders = [g.order for g in pres.generators]
+    has_power = [False] * len(orders)
     rows = []
-    for word in pres.relators:  # never empty: every generator has a power relator
-        row = [0] * n
+    for word in pres.relators:
+        row: dict[int, int] = {}
         for k in word:
-            row[abs(k) - 1] += 1 if k > 0 else -1
+            col = abs(k) - 1
+            row[col] = row.get(col, 0) + (1 if k > 0 else -1)
+        row = {col: x for col, x in row.items() if x}
+        if len(row) == 1:
+            [(col, x)] = row.items()
+            if abs(x) == orders[col]:
+                has_power[col] = True
         rows.append(row)
-    return abelian_quotient(IntMatrix.from_rows(rows))
+    missing = [g.symbol for g, ok in zip(pres.generators, has_power) if not ok]
+    if missing:
+        raise InternalCheckError(
+            f"generators without a power relator: {' '.join(missing)}"
+        )
+    return abelian_quotient_mod(rows, len(orders), math.lcm(*orders))
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ import argparse
 import csv
 import json
 import multiprocessing
+import os
 import sys
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -281,7 +282,13 @@ def _print_rows_text(rows: list[dict]) -> None:
         print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
 
 
+def _check_max_cosets(max_cosets: int | None) -> None:
+    if max_cosets is not None and max_cosets < 1:
+        raise ConstraintViolation(f"--max-cosets must be at least 1, got {max_cosets}")
+
+
 def cmd_verify(config: RunConfig) -> int:
+    _check_max_cosets(config.max_cosets)
     p = validate(config.m, config.s, config.t, config.r)
     mode = resolve_family_mode(p, config.family_mode)
     family = build_family(p, mode)
@@ -317,7 +324,17 @@ def _scan_worker(task: tuple[int, int, int, int, str, int | None]) -> dict:
     return compute_scan_row(MetacyclicParams(m=m, s=s, t=t, r=r), mode, max_cosets)
 
 
+def pool_size(jobs: int, ntasks: int, cpus: int | None) -> int:
+    """Worker processes for a scan: the requested jobs, capped at one per CPU
+    (``cpus`` as ``os.cpu_count()`` reports it, None counting as 1) and one
+    per task, and at least 1."""
+    return max(1, min(jobs, cpus or 1, ntasks))
+
+
 def cmd_scan(config: RunConfig) -> int:
+    _check_max_cosets(config.max_cosets)
+    if config.jobs < 1:
+        raise ConstraintViolation(f"--jobs must be at least 1, got {config.jobs}")
     if config.max_order is None or config.max_order < 1:
         raise ConstraintViolation("scan requires --max-order >= 1")
     if config.max_order > default_cap():
@@ -326,8 +343,9 @@ def cmd_scan(config: RunConfig) -> int:
         )
     tuples = valid_tuples(config.max_order)
     tasks = [(p.m, p.s, p.t, p.r, config.family_mode, config.max_cosets) for p in tuples]
-    if config.jobs > 1:
-        with multiprocessing.Pool(config.jobs) as pool:
+    workers = pool_size(config.jobs, len(tasks), os.cpu_count())
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             rows = pool.map(_scan_worker, tasks)
     else:
         rows = [_scan_worker(task) for task in tasks]

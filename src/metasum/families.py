@@ -329,7 +329,9 @@ def is_independent(
     for rep in reps:
         local_orders.append(rep.order // len(rep.elements & derived))
         if rep.generator is None:
-            raise ValueError("independence check requires cyclic members with generators")
+            raise InternalCheckError(
+                "independence check requires cyclic members with generators"
+            )
         image_rows.append(quot.coordinates(rep.generator))
     target = quot.structure.order
     if target is None:

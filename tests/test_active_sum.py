@@ -17,20 +17,25 @@ from hypothesis import strategies as st
 
 from metasum.active_sum import (
     DEFAULT_COSET_FACTOR,
+    FpPresentation,
+    PresentationGenerator,
     abelianized_order,
     build_active_sum_presentation,
     discrete_log,
     todd_coxeter,
     verdict,
 )
-from metasum.core import validate
-from metasum.errors import NotAPower
+from metasum.core import Subgroup, cyclic_subgroup, validate
+from metasum.errors import InternalCheckError, NotAPower
 from metasum.families import (
+    Family,
+    abelianized_group,
     build_generator_family,
     is_independent,
     transversal,
 )
 from metasum.hall import build_hall_family
+from metasum.lattice import IntMatrix, abelian_quotient
 
 
 class TestDiscreteLog:
@@ -167,6 +172,59 @@ class TestAbelianization:
         pres = build_active_sum_presentation(p, build_generator_family(p))
         assert pres.ngens == 0
         assert abelianized_order(pres).order == 1
+
+    def test_matches_certified_smith_form_up_to_order_30(self, pool_48):
+        for p in pool_48:
+            if p.order > 30:
+                break
+            for family in (build_generator_family(p), build_hall_family(p).family):
+                pres = build_active_sum_presentation(p, family)
+                dense = [[0] * pres.ngens for _ in pres.relators]
+                for row, word in zip(dense, pres.relators):
+                    for k in word:
+                        row[abs(k) - 1] += 1 if k > 0 else -1
+                certified = abelian_quotient(IntMatrix.from_rows(dense))
+                assert abelianized_order(pres) == certified, p
+
+    @pytest.mark.parametrize(
+        "params, ab_s, ab_g",
+        [
+            ((81, 2, 0, 80), 2, 2),  # D_81: 82 members, 6,724 relators
+            ((8, 2, 2, 5), 16, 8),  # negative control
+        ],
+    )
+    def test_frozen_orders(self, params, ab_s, ab_g):
+        p = validate(*params)
+        pres = build_active_sum_presentation(p, build_generator_family(p))
+        assert abelianized_order(pres).order == ab_s
+        assert abelianized_group(p).structure.order == ab_g
+
+    def test_missing_power_relator_is_an_internal_error(self):
+        pres = FpPresentation(
+            generators=(PresentationGenerator(symbol="x0", order=3, element=(1, 0)),),
+            relators=((1, 1),),
+        )
+        with pytest.raises(InternalCheckError):
+            abelianized_order(pres)
+
+
+class TestMalformedFamilies:
+    def test_family_not_conjugation_closed(self, s3):
+        # Two of the three reflections: conjugating one by the other leaves the family.
+        members = sorted(
+            (cyclic_subgroup(s3, (0, 1)), cyclic_subgroup(s3, (1, 1))), key=lambda s: s.key
+        )
+        broken = Family(params=s3, subgroups=tuple(members), components=(0, 0))
+        with pytest.raises(InternalCheckError):
+            build_active_sum_presentation(s3, broken)
+
+    def test_member_without_generator(self, s3):
+        rotations = Subgroup(cyclic_subgroup(s3, (1, 0)).elements)
+        family = Family(params=s3, subgroups=(rotations,), components=(0,))
+        with pytest.raises(InternalCheckError):
+            build_active_sum_presentation(s3, family)
+        with pytest.raises(InternalCheckError):
+            is_independent(s3, family)
 
 
 class TestVerdict:

@@ -26,6 +26,7 @@ from metasum.cli import (
     canonical_json,
     compute_scan_row,
     main,
+    pool_size,
     resolve_family_mode,
     valid_tuples,
 )
@@ -323,6 +324,39 @@ class TestUsageErrors:
     def test_scan_zero_max_order_invalid(self):
         code, _ = run_cli(["scan", "--max-order", "0"])
         assert code == EXIT_INVALID
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "-m", "3", "-s", "2", "-t", "0", "-r", "2", "--max-cosets", "0"],
+            ["verify", "-m", "3", "-s", "2", "-t", "0", "-r", "2", "--max-cosets", "-5"],
+            ["scan", "--max-order", "4", "--max-cosets", "0"],
+            ["scan", "--max-order", "4", "--jobs", "0"],
+            ["scan", "--max-order", "4", "--jobs", "-3"],
+        ],
+    )
+    def test_nonpositive_limits_rejected_in_one_line(self, argv, capsys):
+        code, out = run_cli(argv)
+        assert code == EXIT_INVALID
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: --") and err.count("\n") == 1
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize(
+        "jobs, ntasks, cpus, expected",
+        [
+            (1, 100, 8, 1),
+            (4, 100, 8, 4),
+            (64, 100, 8, 8),  # at most one worker per CPU
+            (64, 3, 8, 3),  # at most one worker per task
+            (4, 100, None, 1),  # unknown CPU count counts as one
+            (4, 0, 8, 1),
+        ],
+    )
+    def test_clamp(self, jobs, ntasks, cpus, expected):
+        assert pool_size(jobs, ntasks, cpus) == expected
 
 
 class TestParser:
