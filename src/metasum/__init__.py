@@ -13,7 +13,8 @@ provides:
   (:mod:`metasum.families`),
 * Hall-subgroup based family construction for parameters that fail the
   divisibility condition (:mod:`metasum.hall`),
-* coset enumeration for finitely presented groups (:mod:`metasum.coset`),
+* HLT coset enumeration with lookahead for finitely presented groups
+  (:mod:`metasum.coset`),
 * the active-sum presentation builder and end-to-end verdict
   (:mod:`metasum.active_sum`),
 * a command line interface (:mod:`metasum.cli`).
@@ -33,7 +34,6 @@ from .active_sum import (
     Verdict,
     abelianized_order,
     build_active_sum_presentation,
-    discrete_log,
     todd_coxeter,
     verdict,
 )
@@ -51,9 +51,7 @@ from .core import (
     cyclic_subgroup,
     element_log,
     element_order,
-    enumerate_elements,
     generate_subgroup,
-    identity,
     inverse,
     mul,
     power,
@@ -64,7 +62,6 @@ from .errors import (
     ConditionFails,
     ConstraintViolation,
     CosetLimitExceeded,
-    DiscreteLogFailure,
     InternalCheckError,
     MetasumError,
     NotAPower,
@@ -105,7 +102,6 @@ from .lattice import (
 )
 from .structure import (
     GaneaCheck,
-    StructureReport,
     bruteforce_ganea,
     bruteforce_schur_of_central_quotient,
     center_closed_form,
@@ -115,7 +111,6 @@ from .structure import (
     ganea_check,
     multiplier_order_from_table,
     schur_order_of_central_quotient,
-    structure_report,
 )
 
 __version__ = "0.1.0"
@@ -130,7 +125,6 @@ __all__ = [
     "ConstraintViolation",
     "CosetLimitExceeded",
     "DEFAULT_COSET_FACTOR",
-    "DiscreteLogFailure",
     "Element",
     "Family",
     "FpPresentation",
@@ -148,7 +142,6 @@ __all__ = [
     "RegularityReport",
     "SearchFailed",
     "SmithNormalForm",
-    "StructureReport",
     "Subgroup",
     "SylowFactorization",
     "Transversal",
@@ -173,15 +166,12 @@ __all__ = [
     "cyclic_subgroup",
     "derived_center_intersection_order",
     "derived_closed_form",
-    "discrete_log",
     "divisibility_condition",
     "element_log",
     "element_order",
-    "enumerate_elements",
     "ganea_check",
     "generate_subgroup",
     "hall_decomposition",
-    "identity",
     "inverse",
     "is_generating",
     "is_independent",
@@ -193,7 +183,6 @@ __all__ = [
     "schur_order_of_central_quotient",
     "smith_diagonal",
     "smith_normal_form",
-    "structure_report",
     "todd_coxeter",
     "transversal",
     "validate",

@@ -39,9 +39,10 @@ the closed form it is compared with; the certified Smith form (with U and V)
 is kept for the places that need coordinates, and as the tests' oracle.
 
 ``verdict`` ties everything together: family checks (generating, regular,
-independent), the Ganea criterion, the coset-enumerated |S|, and the
-abelianizations of both sides.  It also asserts the two implications the
-theory guarantees — (generating and regular and independent and Ganea)
+independent), the Ganea criterion, |S| by HLT coset enumeration over the
+trivial subgroup (limit 10 x |G| unless the caller passes ``max_cosets``),
+and the abelianizations of both sides.  It also asserts the two implications
+the theory guarantees — (generating and regular and independent and Ganea)
 implies |S| = |G|, and failed independence implies a visible discrepancy
 (either |S^ab| != |G^ab| or |S| != |G|) — raising InternalCheckError on any
 violation, since those would signal an implementation bug.
@@ -63,12 +64,7 @@ from .core import (
     power,
 )
 from .coset import todd_coxeter as _enumerate_raw
-from .errors import (
-    CosetLimitExceeded,
-    DiscreteLogFailure,
-    InternalCheckError,
-    NotAPower,
-)
+from .errors import CosetLimitExceeded, InternalCheckError, NotAPower
 from .families import (
     Family,
     abelianized_group,
@@ -80,11 +76,6 @@ from .lattice import AbelianStructure, abelian_quotient_mod
 from .structure import ganea_check
 
 DEFAULT_COSET_FACTOR = 10  # max_cosets defaults to this multiple of |G|
-
-
-def discrete_log(p: MetacyclicParams, target: Element, base: Element) -> int:
-    """Least e >= 0 with base**e == target; NotAPower when target is outside <base>."""
-    return element_log(p, base, target)
 
 
 @dataclass(frozen=True)
@@ -127,6 +118,8 @@ class FpPresentation:
 
 
 def _free_reduce_signed(word: Iterable[int]) -> tuple[int, ...]:
+    """Cancel adjacent ``k, -k`` pairs of a signed word (``coset.free_reduce``
+    does the same on column letters, the enumerator's own encoding)."""
     out: list[int] = []
     for k in word:
         if out and out[-1] == -k:
@@ -150,7 +143,7 @@ def _conjugation_relator(
     Expresses g**h inside the family member F2**h:  the relator says
     x1**-h_exp x2**g_exp x1**h_exp equals the image written in the symbol of
     F2**h.  Conjugation acts within F2's own component, which disambiguates
-    coincident members from different components.  Raises DiscreteLogFailure
+    coincident members from different components.  Raises InternalCheckError
     if the image misses the target's cyclic generator — impossible for a
     valid family, so it signals a bug.
     """
@@ -167,7 +160,7 @@ def _conjugation_relator(
     try:
         e = element_log(p, members[i_target].generator, image)
     except NotAPower as exc:
-        raise DiscreteLogFailure(
+        raise InternalCheckError(
             f"conjugate {image} of {g} by {h} is not a power of the "
             f"generator of the target member {members[i_target].key}"
         ) from exc
@@ -221,11 +214,14 @@ def build_active_sum_presentation(
     return FpPresentation(generators=gens, relators=tuple(relators))
 
 
-def todd_coxeter(
-    pres: FpPresentation, max_cosets: int, strategy: str = "hlt"
-) -> int:
-    """Order of the presented group; CosetLimitExceeded when it cannot close."""
-    return _enumerate_raw(pres.ngens, pres.relators, max_cosets, strategy=strategy)
+def todd_coxeter(pres: FpPresentation, max_cosets: int) -> int:
+    """Order of the presented group; CosetLimitExceeded when it cannot close.
+
+    Enumerates cosets of the trivial subgroup by HLT with lookahead
+    (:mod:`metasum.coset`), so the caller need not know the signed-word
+    encoding of ``pres.relators``.
+    """
+    return _enumerate_raw(pres.ngens, pres.relators, max_cosets)
 
 
 def abelianized_order(pres: FpPresentation) -> AbelianStructure:
@@ -280,13 +276,7 @@ class Verdict:
     isomorphic: bool
 
 
-def verdict(
-    p: MetacyclicParams,
-    family: Family,
-    max_cosets: int | None = None,
-    cap: int | None = None,
-    strategy: str = "hlt",
-) -> Verdict:
+def verdict(p: MetacyclicParams, family: Family, max_cosets: int | None = None) -> Verdict:
     """Assemble the isomorphism verdict for a family.
 
     The coset limit defaults to 10x the group order (the expected answer is
@@ -295,8 +285,8 @@ def verdict(
     """
     limit = DEFAULT_COSET_FACTOR * p.order if max_cosets is None else max_cosets
     generating = is_generating(p, family)
-    regular = is_regular(p, family, cap=cap).regular
-    independent = is_independent(p, family, cap=cap).independent
+    regular = is_regular(p, family).regular
+    independent = is_independent(p, family).independent
     ganea = ganea_check(p).surjective
     pres = build_active_sum_presentation(p, family)
     ab_s = abelianized_order(pres).order
@@ -304,7 +294,7 @@ def verdict(
     if ab_g is None:
         raise InternalCheckError("G/G' of a finite group must be finite")
     try:
-        order_s: int | None = todd_coxeter(pres, limit, strategy=strategy)
+        order_s: int | None = todd_coxeter(pres, limit)
     except CosetLimitExceeded:
         order_s = None
     isomorphic = order_s == p.order

@@ -23,8 +23,8 @@ Exit codes (fixed for CI use):
   group.  Codes 1-3 have fixed meanings above, so the legitimate negative
   answer gets its own code; "exit 0 iff isomorphic" still holds.
 
-The ``METASUM_CAP`` environment variable overrides the element-enumeration
-cap used by all commands.
+The ``METASUM_CAP`` environment variable sets the element-enumeration cap
+(default 10**6) used by all commands; it has no flag.
 
 JSON reports round-trip byte-identically: parse with ``json.loads``,
 re-serialize with :func:`canonical_json`, and the bytes match.
@@ -248,35 +248,29 @@ def _print_verify_text(payload: dict) -> None:
     print(f"isomorphic: {_fmt_bool(payload['isomorphic'])}")
 
 
+def _row_cells(row: dict, missing: str) -> list[str]:
+    """One scan row as strings in column order; None becomes ``missing``."""
+    cells = []
+    for col in SCAN_COLUMNS:
+        value = row[col]
+        if isinstance(value, bool):
+            cells.append(_fmt_bool(value))
+        elif value is None:
+            cells.append(missing)
+        else:
+            cells.append(str(value))
+    return cells
+
+
 def _print_rows_csv(rows: list[dict]) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(SCAN_COLUMNS)
     for row in rows:
-        cells = []
-        for col in SCAN_COLUMNS:
-            value = row[col]
-            if isinstance(value, bool):
-                cells.append(_fmt_bool(value))
-            elif value is None:
-                cells.append("")
-            else:
-                cells.append(str(value))
-        writer.writerow(cells)
+        writer.writerow(_row_cells(row, ""))
 
 
 def _print_rows_text(rows: list[dict]) -> None:
-    table = [list(SCAN_COLUMNS)]
-    for row in rows:
-        cells = []
-        for col in SCAN_COLUMNS:
-            value = row[col]
-            if isinstance(value, bool):
-                cells.append(_fmt_bool(value))
-            elif value is None:
-                cells.append("-")
-            else:
-                cells.append(str(value))
-        table.append(cells)
+    table = [list(SCAN_COLUMNS)] + [_row_cells(row, "-") for row in rows]
     widths = [max(len(line[i]) for line in table) for i in range(len(SCAN_COLUMNS))]
     for line in table:
         print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
@@ -400,8 +394,10 @@ def oracle_report(p: MetacyclicParams) -> dict:
     """
     comparisons: dict[str, dict] = {}
 
-    closed_center = _sorted_elements(center_closed_form(p))
+    # Brute force first: its Cayley table checks |G| against the cap, which
+    # also bounds the closed forms' loops (the order of r divides s <= |G|).
     brute_center = _sorted_elements(bruteforce_center(p))
+    closed_center = _sorted_elements(center_closed_form(p))
     comparisons["center"] = {
         "closed": closed_center,
         "brute": brute_center,

@@ -30,9 +30,10 @@ The module has two layers:
   scan the full multiplication table with no structural shortcuts, so they
   can cross-check every closed-form formula in :mod:`metasum.structure`.
 
-The element-enumeration cap (default ``10**6``, overridable through the
-``METASUM_CAP`` environment variable or per-call arguments) bounds every
-operation that would materialise the whole group.
+The element-enumeration cap (default ``10**6``, set by the ``METASUM_CAP``
+environment variable and read by :func:`default_cap`) bounds every operation
+that would materialise the whole group, a subgroup, or the ``s`` twist
+factors that :func:`mul` reads; there is no per-call override.
 """
 
 from __future__ import annotations
@@ -65,6 +66,13 @@ def default_cap() -> int:
     if cap < 1:
         raise ConstraintViolation(f"{CAP_ENV_VAR} must be positive, got {cap}")
     return cap
+
+
+def _check_cap(n: int, what: str) -> None:
+    """CapExceeded when ``n`` items of kind ``what`` would exceed the cap."""
+    limit = default_cap()
+    if n > limit:
+        raise CapExceeded(f"{what} {n} exceeds enumeration cap {limit}")
 
 
 @dataclass(frozen=True)
@@ -105,8 +113,13 @@ class MetacyclicParams:
 
     @cached_property
     def _rinv_pows(self) -> tuple[int, ...]:
-        """r**-j mod m for 0 <= j < s, the twist factors used by mul."""
+        """r**-j mod m for 0 <= j < s, the twist factors used by mul.
+
+        Checked against the cap before the s entries are allocated: s <= |G|,
+        so a larger s belongs to a group no command may materialise anyway.
+        """
         m, s = self.m, self.s
+        _check_cap(s, "twist table size")
         pows = [1 % m]
         for _ in range(s - 1):
             pows.append(pows[-1] * self.rinv % m)
@@ -186,11 +199,9 @@ def element_order(p: MetacyclicParams, x: Element) -> int:
     return n
 
 
-def enumerate_elements(p: MetacyclicParams, cap: int | None = None) -> list[Element]:
+def enumerate_elements(p: MetacyclicParams) -> list[Element]:
     """All m*s normal forms in lexicographic order; CapExceeded if too many."""
-    limit = default_cap() if cap is None else cap
-    if p.order > limit:
-        raise CapExceeded(f"group order {p.order} exceeds enumeration cap {limit}")
+    _check_cap(p.order, "group order")
     return [(i, j) for i in range(p.m) for j in range(p.s)]
 
 
@@ -247,9 +258,7 @@ def trivial_subgroup(p: MetacyclicParams) -> Subgroup:
     return Subgroup(frozenset({(0, 0)}), generator=(0, 0))
 
 
-def generate_subgroup(
-    p: MetacyclicParams, generators: Iterable[Element], cap: int | None = None
-) -> Subgroup:
+def generate_subgroup(p: MetacyclicParams, generators: Iterable[Element]) -> Subgroup:
     """Subgroup generated by the given elements (orbit closure).
 
     Closure under right multiplication by the generators suffices in a finite
@@ -258,7 +267,7 @@ def generate_subgroup(
     was supplied.
     """
     gens = list(generators)
-    limit = default_cap() if cap is None else cap
+    limit = default_cap()
     seen: set[Element] = {(0, 0)}
     frontier: list[Element] = [(0, 0)]
     while frontier:
@@ -274,9 +283,9 @@ def generate_subgroup(
     return Subgroup(frozenset(seen), generator=gen)
 
 
-def cyclic_subgroup(p: MetacyclicParams, g: Element, cap: int | None = None) -> Subgroup:
+def cyclic_subgroup(p: MetacyclicParams, g: Element) -> Subgroup:
     """Cyclic subgroup generated by g (generator field always set)."""
-    return generate_subgroup(p, [g], cap=cap)
+    return generate_subgroup(p, [g])
 
 
 def conjugate_subgroup(p: MetacyclicParams, sub: Subgroup, h: Element) -> Subgroup:
@@ -300,11 +309,9 @@ class CayleyTable:
     square of the group order.
     """
 
-    def __init__(self, p: MetacyclicParams, cap: int | None = None):
-        limit = default_cap() if cap is None else cap
+    def __init__(self, p: MetacyclicParams):
         n = p.order
-        if n > limit:
-            raise CapExceeded(f"group order {n} exceeds enumeration cap {limit}")
+        _check_cap(n, "group order")
         self.params = p
         self.n = n
         m, s, t = p.m, p.s, p.t
@@ -411,40 +418,40 @@ class CayleyTable:
 
 @lru_cache(maxsize=64)
 def _cached_table(p: MetacyclicParams) -> CayleyTable:
-    return CayleyTable(p, cap=p.order)
+    return CayleyTable(p)
 
 
-def cayley_table(p: MetacyclicParams, cap: int | None = None) -> CayleyTable:
-    """Shared dense table for p (cached; respects the enumeration cap)."""
-    limit = default_cap() if cap is None else cap
-    if p.order > limit:
-        raise CapExceeded(f"group order {p.order} exceeds enumeration cap {limit}")
+def cayley_table(p: MetacyclicParams) -> CayleyTable:
+    """Shared dense table for p (cached; respects the enumeration cap).
+
+    The cap is checked before the cache lookup, so a table built under a
+    larger cap is not handed out after the cap is lowered.
+    """
+    _check_cap(p.order, "group order")
     return _cached_table(p)
 
 
-def bruteforce_center(p: MetacyclicParams, cap: int | None = None) -> Subgroup:
+def bruteforce_center(p: MetacyclicParams) -> Subgroup:
     """Center by scanning the full multiplication table for commuting rows."""
-    tab = cayley_table(p, cap)
+    tab = cayley_table(p)
     return tab.subgroup(tab.center_idx)
 
 
-def bruteforce_derived(p: MetacyclicParams, cap: int | None = None) -> Subgroup:
+def bruteforce_derived(p: MetacyclicParams) -> Subgroup:
     """Derived subgroup: closure of the set of all n**2 commutators."""
-    tab = cayley_table(p, cap)
+    tab = cayley_table(p)
     return tab.subgroup(tab.derived_idx)
 
 
-def normalizer(p: MetacyclicParams, sub: Subgroup, cap: int | None = None) -> Subgroup:
+def normalizer(p: MetacyclicParams, sub: Subgroup) -> Subgroup:
     """N_G(sub) = {g : sub**g = sub} by scanning all group elements."""
-    tab = cayley_table(p, cap)
+    tab = cayley_table(p)
     return tab.subgroup(tab.normalizer_idx(tab.idx_array(sub.elements)))
 
 
-def commutator_span(
-    p: MetacyclicParams, a: Subgroup, b: Subgroup, cap: int | None = None
-) -> Subgroup:
+def commutator_span(p: MetacyclicParams, a: Subgroup, b: Subgroup) -> Subgroup:
     """Subgroup generated by all commutators [x, y], x in a, y in b."""
-    tab = cayley_table(p, cap)
+    tab = cayley_table(p)
     return tab.subgroup(
         tab.commutator_span_idx(tab.idx_array(a.elements), tab.idx_array(b.elements))
     )

@@ -5,22 +5,17 @@ Given a finite presentation <x_1..x_n | w_1..w_k>, the enumerator builds the
 representation — and returns the number of live cosets, which is the order of
 the presented group whenever the enumeration closes.
 
-Strategy is HLT by default: each coset is scanned against every relator with
-gaps filled by defining new cosets, then its remaining row entries are filled.
-When the live-coset count would exceed ``max_cosets`` the enumerator first
-attempts a lookahead pass (scanning all relators everywhere without defining
-anything, harvesting coincidences only) and resumes if that freed space;
-otherwise it raises CosetLimitExceeded.
+The strategy is HLT with lookahead: each coset is scanned against every
+relator with gaps filled by defining new cosets, then its remaining row
+entries are filled.  When the live-coset count would exceed ``max_cosets``
+the enumerator first attempts a lookahead pass (scanning all relators
+everywhere without defining anything, harvesting coincidences only) and
+resumes if that freed space; otherwise it raises CosetLimitExceeded.  The
+enumeration is deterministic for a fixed input.
 
 Coincidences are processed with a union-find structure (path-compressing
 ``rep``) and a queue, transplanting every edge of a dying coset onto its
 representative, exactly in the classical formulation.
-
-A Felsch-style strategy (``strategy="felsch"``) is available behind a flag:
-it defines one entry at a time and exhausts a deduction stack against the
-cyclic conjugates of the relators and their inverses before defining again.
-Both strategies are deterministic for a fixed input; they may build tables of
-different intermediate size but always agree on the final count.
 
 Letters: generator i (0-based) is column 2*i, its inverse is column 2*i + 1,
 so ``letter ^ 1`` inverts.  Public entry points accept words over signed
@@ -66,31 +61,18 @@ def free_reduce(letters: Sequence[int]) -> tuple[int, ...]:
 class CosetTable:
     """Mutable enumeration state for one presentation."""
 
-    def __init__(
-        self,
-        ngens: int,
-        relators: Iterable[Sequence[int]],
-        max_cosets: int,
-        strategy: str = "hlt",
-    ):
+    def __init__(self, ngens: int, relators: Iterable[Sequence[int]], max_cosets: int):
         if max_cosets < 1:
             raise ValueError("max_cosets must be positive")
-        if strategy not in ("hlt", "felsch"):
-            raise ValueError(f"unknown strategy {strategy!r}")
         self.ngens = ngens
         self.width = 2 * ngens
         self.relators = tuple(
             w for w in (free_reduce(signed_word_to_letters(r)) for r in relators) if w
         )
         self.max_cosets = max_cosets
-        self.strategy = strategy
         self.table: list[list[int]] = [[UNDEF] * self.width]
         self.p: list[int] = [0]
         self.nlive = 1
-        self.deductions: list[tuple[int, int]] = []
-        self._track_deductions = strategy == "felsch"
-        if strategy == "felsch":
-            self._by_first = self._index_cyclic_conjugates()
 
     # -- union-find ---------------------------------------------------------
 
@@ -125,15 +107,11 @@ class CosetTable:
         self.nlive += 1
         self.table[alpha][x] = beta
         self.table[beta][x ^ 1] = alpha
-        if self._track_deductions:
-            self.deductions.append((alpha, x))
         return beta
 
     def _set(self, alpha: int, x: int, beta: int) -> None:
         self.table[alpha][x] = beta
         self.table[beta][x ^ 1] = alpha
-        if self._track_deductions:
-            self.deductions.append((alpha, x))
 
     def _coincidence(self, a: int, b: int) -> None:
         """Merge cosets a and b and transplant all edges of dying cosets."""
@@ -160,7 +138,8 @@ class CosetTable:
     # -- scanning --------------------------------------------------------------
 
     def _scan(self, alpha: int, word: Sequence[int], fill: bool) -> None:
-        """Trace word at alpha; fill gaps (HLT) or record deductions only.
+        """Trace word at alpha; fill gaps (HLT) or, with fill=False
+        (lookahead), only close one-entry gaps.
 
         May trigger coincidences.  With fill=False a multi-entry gap simply
         leaves the scan incomplete.
@@ -229,53 +208,6 @@ class CosetTable:
                         break
             alpha += 1
 
-    # -- Felsch driver --------------------------------------------------------------
-
-    def _index_cyclic_conjugates(self) -> dict[int, tuple[tuple[int, ...], ...]]:
-        """Cyclic conjugates of relators and inverses, bucketed by first letter."""
-        seen: set[tuple[int, ...]] = set()
-        buckets: dict[int, list[tuple[int, ...]]] = {x: [] for x in range(self.width)}
-        for word in self.relators:
-            inverse = tuple(l ^ 1 for l in reversed(word))
-            for base in (word, inverse):
-                for k in range(len(base)):
-                    conj = base[k:] + base[:k]
-                    if conj not in seen:
-                        seen.add(conj)
-                        buckets[conj[0]].append(conj)
-        return {x: tuple(ws) for x, ws in buckets.items()}
-
-    def _process_deductions(self) -> None:
-        while self.deductions:
-            alpha, x = self.deductions.pop()
-            alpha = self.rep(alpha)
-            beta = self.table[alpha][x]
-            if beta != UNDEF:
-                for word in self._by_first.get(x, ()):
-                    self._scan(alpha, word, fill=False)
-            beta = self.table[alpha][x]
-            if beta != UNDEF:
-                beta = self.rep(beta)
-                for word in self._by_first.get(x ^ 1, ()):
-                    self._scan(beta, word, fill=False)
-
-    def _felsch_pass(self) -> None:
-        self.deductions.clear()
-        alpha = 0
-        while alpha < len(self.table):
-            if self.p[alpha] != alpha:
-                alpha += 1
-                continue
-            x = 0
-            while x < self.width:
-                if self.p[alpha] != alpha:
-                    break
-                if self.table[alpha][x] == UNDEF:
-                    self._define(alpha, x)
-                    self._process_deductions()
-                x += 1
-            alpha += 1
-
     # -- verification and public API ---------------------------------------------
 
     def _closed_and_consistent(self) -> bool:
@@ -301,10 +233,7 @@ class CosetTable:
         clean_passes = 0
         while True:
             try:
-                if self.strategy == "hlt":
-                    self._hlt_pass()
-                else:
-                    self._felsch_pass()
+                self._hlt_pass()
             except _TableFull:
                 before = self.nlive
                 self._lookahead()
@@ -320,16 +249,11 @@ class CosetTable:
                 raise InternalCheckError("coset enumeration failed to stabilise")
 
 
-def todd_coxeter(
-    ngens: int,
-    relators: Iterable[Sequence[int]],
-    max_cosets: int,
-    strategy: str = "hlt",
-) -> int:
+def todd_coxeter(ngens: int, relators: Iterable[Sequence[int]], max_cosets: int) -> int:
     """Order of <x_1..x_ngens | relators> by coset enumeration.
 
     ``relators`` are words over signed generator numbers (+-(i+1)).  Raises
     CosetLimitExceeded when the table cannot close within ``max_cosets`` live
-    cosets.  The result is independent of relator order and of strategy.
+    cosets.  The result is independent of relator order.
     """
-    return CosetTable(ngens, relators, max_cosets, strategy=strategy).enumerate()
+    return CosetTable(ngens, relators, max_cosets).enumerate()

@@ -31,14 +31,6 @@ class NotAPower(MetasumError, ValueError):
     """Discrete logarithm target is not a power of the base element."""
 
 
-class DiscreteLogFailure(MetasumError):
-    """A conjugate landed outside the cyclic subgroup it must generate.
-
-    Impossible for conjugation-closed families of cyclic subgroups; raised
-    only to surface bugs in family construction.
-    """
-
-
 class CosetLimitExceeded(MetasumError):
     """Coset enumeration hit the table limit before closing."""
 

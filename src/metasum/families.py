@@ -257,7 +257,7 @@ class RegularityReport:
     checks: tuple[RegularityCheck, ...]
 
 
-def is_regular(p: MetacyclicParams, family: Family, cap: int | None = None) -> RegularityReport:
+def is_regular(p: MetacyclicParams, family: Family) -> RegularityReport:
     """Check [F, N_G(F)] = F ∩ G' on a transversal, with full witnesses.
 
     Normalizers, commutator spans and the derived subgroup all come from the
@@ -265,7 +265,7 @@ def is_regular(p: MetacyclicParams, family: Family, cap: int | None = None) -> R
     makes per-representative checking equivalent to checking all members
     (asserted separately by the property-test suite).
     """
-    tab = cayley_table(p, cap)
+    tab = cayley_table(p)
     derived = frozenset(tab.el(i) for i in tab.derived_idx)
     checks = []
     for rep in transversal(p, family).representatives:
@@ -311,16 +311,14 @@ class IndependenceReport:
     spans_quotient: bool
 
 
-def is_independent(
-    p: MetacyclicParams, family: Family, cap: int | None = None
-) -> IndependenceReport:
+def is_independent(p: MetacyclicParams, family: Family) -> IndependenceReport:
     """Check that ⊕_T F/(F ∩ G') → G/G' is an isomorphism.
 
     The map restricted to each cyclic summand sends the generator of F to its
     exponent-vector class, so surjectivity is equivalent to the generator
     images spanning G/G'; injectivity then follows from the order count.
     """
-    tab = cayley_table(p, cap)
+    tab = cayley_table(p)
     derived = frozenset(tab.el(i) for i in tab.derived_idx)
     reps = transversal(p, family).representatives
     local_orders = []

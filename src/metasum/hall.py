@@ -298,7 +298,7 @@ def _try_prime_set(
     )
 
 
-def hall_decomposition(p: MetacyclicParams, cap: int | None = None) -> HallDecomposition:
+def hall_decomposition(p: MetacyclicParams) -> HallDecomposition:
     """Search prime sets (decreasing size, then lexicographic) for a usable
     decomposition; SearchFailed if none qualifies."""
     if p.order == 1:
@@ -313,7 +313,7 @@ def hall_decomposition(p: MetacyclicParams, cap: int | None = None) -> HallDecom
             twist_exponent=1,
             sylow_factorizations=(),
         )
-    tab = cayley_table(p, cap)
+    tab = cayley_table(p)
     primes = prime_factors(p.order)
     for size in range(len(primes), 0, -1):
         for subset in combinations(primes, size):
@@ -333,7 +333,7 @@ class HallFamilyBuild:
     transversal: Transversal
 
 
-def build_hall_family(p: MetacyclicParams, cap: int | None = None) -> HallFamilyBuild:
+def build_hall_family(p: MetacyclicParams) -> HallFamilyBuild:
     """Assemble the cyclic family from a Hall decomposition (CLI mode ``hall``).
 
     Seeds are the nontrivial pieces {V, U, <alpha_q>, <beta_q>}; the family
@@ -341,7 +341,7 @@ def build_hall_family(p: MetacyclicParams, cap: int | None = None) -> HallFamily
     collapse to one component).  The transversal is re-derived from the
     closure and cross-checked against the per-seed orbits.
     """
-    decomp = hall_decomposition(p, cap=cap)
+    decomp = hall_decomposition(p)
     seeds: list[Subgroup] = []
     candidates = [decomp.kernel_part, decomp.top_part]
     for fact in decomp.sylow_factorizations:

@@ -3,9 +3,9 @@
 Given an integer relation matrix A (rows are relations over n generators),
 ``smith_normal_form`` produces D = U @ A @ V with U, V unimodular and D
 diagonal with a divisibility chain d1 | d2 | ... .  The transformations are
-returned so every result is a checkable certificate, and ``coordinates_in_
-quotient`` uses V to map exponent vectors into the quotient Z^n / rowspace(A)
-expressed as  ⊕ Z/d_i  (+ free summands).  The certificate is kept only
+returned so every result is a checkable certificate, and
+``AbelianQuotient.coordinates`` uses V to map exponent vectors into the
+quotient Z^n / rowspace(A) expressed as  ⊕ Z/d_i  (+ free summands).  The certificate is kept only
 where those coordinates are needed: the independence check's small quotient
 of G/G' (3 x 2 relation matrices), and the tests, which use it as the oracle.
 
@@ -317,27 +317,10 @@ class AbelianQuotient:
         image = [sum(vector[i] * v[i][j] for i in range(self.n)) for j in range(self.n)]
         return tuple(x % d if d else x for x, d in zip(image, self.moduli))
 
-    def coordinate_order(self, coords: Sequence[int]) -> int | None:
-        """Order of an element given by coordinates; None when infinite."""
-        order = 1
-        for x, d in zip(coords, self.moduli):
-            if d == 0:
-                if x:
-                    return None
-                continue
-            if x % d:
-                order = math.lcm(order, d // math.gcd(x % d, d))
-        return order
-
 
 def abelian_quotient(relations: IntMatrix) -> AbelianStructure:
     """Isomorphism type of Z^n modulo the row space of ``relations``."""
     return AbelianQuotient(relations).structure
-
-
-def coordinates_in_quotient(relations: IntMatrix, vector: Sequence[int]) -> tuple[int, ...]:
-    """Coordinates of ``vector`` in the quotient presented by ``relations``."""
-    return AbelianQuotient(relations).coordinates(vector)
 
 
 def abelian_quotient_mod(

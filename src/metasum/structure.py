@@ -137,36 +137,6 @@ def ganea_check(p: MetacyclicParams) -> GaneaCheck:
     )
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    """All closed-form invariants of one parameter tuple, bundled for reports."""
-
-    params: MetacyclicParams
-    k: int
-    s_prime: int
-    center: Subgroup
-    derived: Subgroup
-    schur_order: int
-    derived_cap_center: int
-
-    @property
-    def ganea(self) -> GaneaCheck:
-        return GaneaCheck(h2_order=self.schur_order, cap_order=self.derived_cap_center)
-
-
-def structure_report(p: MetacyclicParams) -> StructureReport:
-    k, s_prime = center_exponents(p)
-    return StructureReport(
-        params=p,
-        k=k,
-        s_prime=s_prime,
-        center=center_closed_form(p),
-        derived=derived_closed_form(p),
-        schur_order=schur_order_of_central_quotient(p),
-        derived_cap_center=derived_center_intersection_order(p),
-    )
-
-
 # --------------------------------------------------------------------------
 # Brute-force oracle: Schur multiplier from a multiplication table
 # --------------------------------------------------------------------------
@@ -275,9 +245,7 @@ def multiplier_order_from_table(q: np.ndarray, entry_limit: int = DEFAULT_ENTRY_
 
 
 def bruteforce_schur_of_central_quotient(
-    p: MetacyclicParams,
-    cap: int | None = None,
-    quotient_limit: int = DEFAULT_HOMOLOGY_LIMIT,
+    p: MetacyclicParams, quotient_limit: int = DEFAULT_HOMOLOGY_LIMIT
 ) -> int:
     """Multiplier order of G/Z(G) with no closed forms anywhere in the route.
 
@@ -286,7 +254,7 @@ def bruteforce_schur_of_central_quotient(
     from bar-resolution homology.  Raises CapExceeded when the central
     quotient is larger than ``quotient_limit``.
     """
-    tab = cayley_table(p, cap)
+    tab = cayley_table(p)
     qt = quotient_table(tab, tab.center_idx)
     if qt.shape[0] > quotient_limit:
         raise CapExceeded(
@@ -296,19 +264,17 @@ def bruteforce_schur_of_central_quotient(
     return multiplier_order_from_table(qt)
 
 
-def bruteforce_derived_center_intersection(p: MetacyclicParams, cap: int | None = None) -> int:
+def bruteforce_derived_center_intersection(p: MetacyclicParams) -> int:
     """|G' ∩ Z(G)| read off the Cayley table, for cross-checking the gcd form."""
-    tab = cayley_table(p, cap)
+    tab = cayley_table(p)
     return int(np.intersect1d(tab.center_idx, tab.derived_idx).size)
 
 
 def bruteforce_ganea(
-    p: MetacyclicParams,
-    cap: int | None = None,
-    quotient_limit: int = DEFAULT_HOMOLOGY_LIMIT,
+    p: MetacyclicParams, quotient_limit: int = DEFAULT_HOMOLOGY_LIMIT
 ) -> GaneaCheck:
     """Both sides of the Ganea surjectivity criterion, via brute force only."""
     return GaneaCheck(
-        h2_order=bruteforce_schur_of_central_quotient(p, cap, quotient_limit),
-        cap_order=bruteforce_derived_center_intersection(p, cap),
+        h2_order=bruteforce_schur_of_central_quotient(p, quotient_limit),
+        cap_order=bruteforce_derived_center_intersection(p),
     )

@@ -21,12 +21,11 @@ from metasum.active_sum import (
     PresentationGenerator,
     abelianized_order,
     build_active_sum_presentation,
-    discrete_log,
     todd_coxeter,
     verdict,
 )
 from metasum.core import Subgroup, cyclic_subgroup, validate
-from metasum.errors import InternalCheckError, NotAPower
+from metasum.errors import InternalCheckError
 from metasum.families import (
     Family,
     abelianized_group,
@@ -36,18 +35,6 @@ from metasum.families import (
 )
 from metasum.hall import build_hall_family
 from metasum.lattice import IntMatrix, abelian_quotient
-
-
-class TestDiscreteLog:
-    def test_power_of_rotation(self, q8):
-        assert discrete_log(q8, (3, 0), (1, 0)) == 3
-
-    def test_identity(self, q8):
-        assert discrete_log(q8, (0, 0), (1, 0)) == 0
-
-    def test_outside_cyclic_span(self, q8):
-        with pytest.raises(NotAPower):
-            discrete_log(q8, (0, 1), (1, 0))
 
 
 class TestPresentationShape:
@@ -225,6 +212,18 @@ class TestMalformedFamilies:
             build_active_sum_presentation(s3, family)
         with pytest.raises(InternalCheckError):
             is_independent(s3, family)
+
+    def test_witness_outside_its_member(self, s3):
+        # A reflection member whose generator witness is the identity: the
+        # conjugation relator landing on it has no discrete log, which a
+        # valid family never allows, so it is an internal check failure.
+        family = build_generator_family(s3)
+        i = next(i for i, sub in enumerate(family.subgroups) if sub.order == 2)
+        members = list(family.subgroups)
+        members[i] = Subgroup(members[i].elements, generator=(0, 0))
+        broken = Family(params=s3, subgroups=tuple(members), components=family.components)
+        with pytest.raises(InternalCheckError):
+            build_active_sum_presentation(s3, broken)
 
 
 class TestVerdict:

@@ -8,13 +8,16 @@ through json.loads + canonical_json.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from metasum.cli import (
     EXIT_INVALID,
@@ -217,6 +220,30 @@ class TestScan:
         code, _ = run_cli(["scan", "--max-order", "10"])
         assert code == EXIT_INVALID
 
+    # sha256 of the stdout of ``scan --max-order 24`` in every output and
+    # family mode, frozen: a change that is not meant to alter the reports
+    # must leave every byte of them as it is.
+    SCAN_24_SHA256 = {
+        ("csv", "auto"): "47f7253cd56ab73c16ef011ca32e587030ea480411c997c1ee737ad5bafc5829",
+        ("csv", "hall"): "6230f66467e775f05aad09b0506616b6ef6b218f12370c4c334f80ee852066a9",
+        ("csv", "theorem3"): "b70f9afcdbc3ebbb2655f125c06c344b5608f8f76a402d9ee417bfd15297a6e2",
+        ("json", "auto"): "f60d336fa1943be840237b8749780b5ead890189e908a1a0281eecdaeec4f201",
+        ("json", "hall"): "d096c7ba9e01553d65ea974a0aa3b6c9be8f4b22de88c22d731d52aba95a18a6",
+        ("json", "theorem3"): "35762f4c7ed0532e39386e43c194238ae833dd810dbe9920345b511f905273f6",
+        ("text", "auto"): "cdaed1fc7dc4da72cde402f7100038193516b404f0c18a27dbc7bcc07d5bf16e",
+        ("text", "hall"): "4fa38b0fd8f91ce4c87130531778d609c90d787e0178f53837fc95c053ba8209",
+        ("text", "theorem3"): "c9ba308b4e9c849f8f2786fd171ebe47a4d8309ee7d206b6186215211ac4e416",
+    }
+
+    @pytest.mark.parametrize("output, family", sorted(SCAN_24_SHA256))
+    def test_scan_output_bytes_frozen(self, output, family):
+        code, out = run_cli(
+            ["scan", "--max-order", "24", "--output", output, "--family", family]
+        )
+        assert code == EXIT_OK
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.SCAN_24_SHA256[(output, family)]
+
     def test_compute_scan_row_shape(self):
         row = compute_scan_row(validate(6, 2, 3, 5))
         assert tuple(row.keys()) == SCAN_COLUMNS
@@ -375,3 +402,52 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert "isomorphic: true" in proc.stdout
+
+
+# Drawn command lines: small, zero, negative and huge integers in every
+# integer flag.  --jobs stays in {-1, 0, 1} so no worker pool is started, and
+# --max-cosets stays small so no coset table grows large.
+_INTS = st.one_of(
+    st.integers(-3, 20),
+    st.sampled_from([10**6, 2**31, 2**63, 10**18, -(2**63)]),
+)
+_FLAGS = (
+    ("-m", _INTS),
+    ("-s", _INTS),
+    ("-t", _INTS),
+    ("-r", _INTS),
+    ("--max-order", _INTS),
+    ("--max-cosets", st.integers(-2, 300)),
+    ("--jobs", st.sampled_from([-1, 0, 1])),
+    ("--output", st.sampled_from(["text", "json", "csv"])),
+    ("--family", st.sampled_from(["auto", "theorem3", "hall"])),
+)
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    argv = [draw(st.sampled_from(["verify", "scan", "present", "oracle"]))]
+    for flag, values in _FLAGS:
+        if draw(st.integers(0, 9)) < 7:
+            argv += [flag, str(draw(values))]
+    return argv
+
+
+class TestDrawnCommandLines:
+    @settings(max_examples=80, deadline=None)
+    @given(_argv())
+    # s far above the cap: the twist table of mul is refused, not allocated.
+    @example(["verify", "-m", "1", "-s", str(2**63), "-t", "0", "-r", "1"])
+    # ord(3 mod 2**31) = 2**29: the closed forms must not run before the cap check.
+    @example(["oracle", "-m", str(2**31), "-s", str(2**63), "-t", "0", "-r", "3"])
+    def test_exit_code_in_contract_without_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("METASUM_CAP", "16")
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse usage errors
+                    code = exc.code
+        assert code in (0, 1, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()

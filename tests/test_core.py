@@ -177,13 +177,27 @@ class TestCaps:
         with pytest.raises(ConstraintViolation):
             default_cap()
 
-    def test_enumerate_respects_cap(self, q8):
+    def test_enumerate_respects_cap(self, q8, monkeypatch):
+        monkeypatch.setenv("METASUM_CAP", "7")
         with pytest.raises(CapExceeded):
-            enumerate_elements(q8, cap=7)
+            enumerate_elements(q8)
 
-    def test_cayley_table_respects_cap(self, q8):
+    def test_cayley_table_respects_cap(self, q8, monkeypatch):
+        cayley_table(q8)  # cached under the default cap ...
+        monkeypatch.setenv("METASUM_CAP", "3")
+        with pytest.raises(CapExceeded):  # ... and still refused under a lower one
+            cayley_table(q8)
+
+    def test_twist_table_checked_before_allocation(self, monkeypatch):
+        # mul reads s twist factors; with s above the cap they are never built.
+        monkeypatch.setenv("METASUM_CAP", "10")
+        p = validate(1, 11, 0, 1)
         with pytest.raises(CapExceeded):
-            cayley_table(q8, cap=3)
+            p._rinv_pows
+        with pytest.raises(CapExceeded):
+            mul(p, (0, 1), (0, 1))
+        monkeypatch.setenv("METASUM_CAP", "11")
+        assert len(p._rinv_pows) == 11
 
 
 class TestSubgroups:

@@ -1,4 +1,4 @@
-"""Coset enumeration: word encoding, HLT/Felsch strategies, limits.
+"""Coset enumeration: word encoding, HLT with lookahead, limits.
 
 Relators are signed generator words (1-based; negative = inverse).  Expected
 indices for the presentations below are classical; sympy's independent
@@ -68,21 +68,6 @@ class TestClassicalPresentations:
     def test_inverted_relators_same_index(self):
         inverted = [[-g for g in reversed(rel)] for rel in Q8_RELATORS]
         assert todd_coxeter(2, inverted, max_cosets=100) == 8
-
-
-class TestStrategies:
-    @pytest.mark.parametrize("relators,expected", [
-        (S3_RELATORS, 6),
-        (Q8_RELATORS, 8),
-        (Q12_RELATORS, 12),
-    ])
-    def test_hlt_and_felsch_agree(self, relators, expected):
-        assert todd_coxeter(2, relators, max_cosets=200, strategy="hlt") == expected
-        assert todd_coxeter(2, relators, max_cosets=200, strategy="felsch") == expected
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            todd_coxeter(1, [[1, 1]], max_cosets=10, strategy="magic")
 
 
 class TestLimits:

@@ -33,7 +33,6 @@ from metasum.structure import (
     multiplier_order_from_table,
     quotient_table,
     schur_order_of_central_quotient,
-    structure_report,
     twist_gcd,
 )
 
@@ -100,14 +99,14 @@ class TestClosedForms:
             assert check.surjective
             assert check.h2_order <= check.cap_order
 
-    def test_structure_report_bundles_everything(self, negative_control):
-        rep = structure_report(negative_control)
-        assert rep.k == 2 and rep.s_prime == 2
-        assert rep.center.order == 4
-        assert rep.derived.order == 2
-        assert rep.schur_order == 2
-        assert rep.derived_cap_center == 2
-        assert rep.ganea.surjective
+    def test_negative_control_invariants_frozen(self, negative_control):
+        p = negative_control
+        assert center_exponents(p) == (2, 2)
+        assert center_closed_form(p).order == 4
+        assert derived_closed_form(p).order == 2
+        assert schur_order_of_central_quotient(p) == 2
+        assert derived_center_intersection_order(p) == 2
+        assert ganea_check(p).surjective
 
 
 class TestQuotientTable:
