@@ -39,9 +39,10 @@ the closed form it is compared with; the certified Smith form (with U and V)
 is kept for the places that need coordinates, and as the tests' oracle.
 
 ``verdict`` ties everything together: family checks (generating, regular,
-independent), the Ganea criterion, |S| by HLT coset enumeration over the
-trivial subgroup (limit 10 x |G| unless the caller passes ``max_cosets``),
-and the abelianizations of both sides.  It also asserts the two implications
+independent), the Ganea criterion, |S| = [S : <x_F>] * |F| by HLT coset
+enumeration over the cyclic subgroup of the member F of largest order (limit
+10 x |G| live cosets unless the caller passes ``max_cosets``), and the
+abelianizations of both sides.  It also asserts the two implications
 the theory guarantees — (generating and regular and independent and Ganea)
 implies |S| = |G|, and failed independence implies a visible discrepancy
 (either |S^ab| != |G^ab| or |S| != |G|) — raising InternalCheckError on any
@@ -217,11 +218,23 @@ def build_active_sum_presentation(
 def todd_coxeter(pres: FpPresentation, max_cosets: int) -> int:
     """Order of the presented group; CosetLimitExceeded when it cannot close.
 
-    Enumerates cosets of the trivial subgroup by HLT with lookahead
-    (:mod:`metasum.coset`), so the caller need not know the signed-word
-    encoding of ``pres.relators``.
+    Enumerates the cosets of <x_F> by HLT with lookahead (:mod:`metasum.coset`)
+    and returns [S : <x_F>] * |F|, where x_F is the generator of largest order
+    (the lowest-numbered on ties).  |<x_F>| = |F| exactly: x_F -> g_F extends
+    to a homomorphism S -> G because every relator of an active-sum
+    presentation holds in G, so the order of x_F is at least that of g_F,
+    which is |F|; the power relator x_F**|F| bounds it by |F|.  A generator
+    without its power relator raises InternalCheckError.  ``max_cosets``
+    bounds the live cosets of <x_F>.  The presentation without generators
+    (the empty family of the trivial group) presents the trivial group.
     """
-    return _enumerate_raw(pres.ngens, pres.relators, max_cosets)
+    if not pres.generators:
+        return 1
+    f = max(range(pres.ngens), key=lambda i: pres.generators[i].order)
+    order = pres.generators[f].order
+    if (f + 1,) * order not in pres.relators:
+        raise InternalCheckError(f"{pres.generators[f].symbol} has no power relator")
+    return _enumerate_raw(pres.ngens, pres.relators, max_cosets, ((f + 1,),)) * order
 
 
 def abelianized_order(pres: FpPresentation) -> AbelianStructure:
@@ -260,8 +273,7 @@ class Verdict:
     """All checks for one (group, family) pair plus the enumerated order.
 
     ``active_sum_order`` is None when enumeration hit the coset limit; then
-    ``isomorphic`` is False and the caller should treat the verdict as
-    partial.
+    ``isomorphic`` is None (unknown) and the verdict is partial.
     """
 
     params: MetacyclicParams
@@ -273,14 +285,15 @@ class Verdict:
     active_sum_order: int | None
     abelianized_order_s: int | None
     abelianized_order_g: int
-    isomorphic: bool
+    isomorphic: bool | None
 
 
 def verdict(p: MetacyclicParams, family: Family, max_cosets: int | None = None) -> Verdict:
     """Assemble the isomorphism verdict for a family.
 
-    The coset limit defaults to 10x the group order (the expected answer is
-    exactly the group order).  A limit hit yields a partial verdict rather
+    The coset limit defaults to 10x the group order (the expected order of S
+    is exactly the group order, and the index over <x_F> is at most that).
+    A limit hit yields a partial verdict, with ``isomorphic`` None, rather
     than an exception, so scans can flag the row and continue.
     """
     limit = DEFAULT_COSET_FACTOR * p.order if max_cosets is None else max_cosets
@@ -297,7 +310,7 @@ def verdict(p: MetacyclicParams, family: Family, max_cosets: int | None = None) 
         order_s: int | None = todd_coxeter(pres, limit)
     except CosetLimitExceeded:
         order_s = None
-    isomorphic = order_s == p.order
+    isomorphic = None if order_s is None else order_s == p.order
     if generating and regular and independent and ganea and order_s is not None:
         if not isomorphic:
             raise InternalCheckError(

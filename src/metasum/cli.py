@@ -199,7 +199,7 @@ def verdict_payload(
             "ab_S": v.abelianized_order_s,
             "ab_G": v.abelianized_order_g,
         },
-        "isomorphic": bool(v.isomorphic),
+        "isomorphic": v.isomorphic,
     }
     return payload, v
 
@@ -216,7 +216,7 @@ def _scan_row_from(p: MetacyclicParams, mode: str, v: Any) -> dict:
         "ganea": bool(v.ganea_surjective),
         "active_sum_order": v.active_sum_order,
         "group_order": v.group_order,
-        "isomorphic": bool(v.isomorphic),
+        "isomorphic": v.isomorphic,
         "family_mode": mode,
         "partial": v.active_sum_order is None,
     }
@@ -245,7 +245,8 @@ def _print_verify_text(payload: dict) -> None:
         f"orders: |G|={o['group']} |S|={active} "
         f"ab(S)={o['ab_S']} ab(G)={o['ab_G']}"
     )
-    print(f"isomorphic: {_fmt_bool(payload['isomorphic'])}")
+    iso = payload["isomorphic"]
+    print(f"isomorphic: {'unknown' if iso is None else _fmt_bool(iso)}")
 
 
 def _row_cells(row: dict, missing: str) -> list[str]:
@@ -538,7 +539,7 @@ def build_parser() -> _Parser:
         "--max-cosets",
         type=int,
         default=None,
-        help="coset table size limit (default: 10 * m * s)",
+        help="limit on live cosets of <x_F>, F the largest member (default: 10 * m * s)",
     )
     _add_output(p_verify)
 

@@ -1,12 +1,15 @@
-"""Todd-Coxeter coset enumeration over the trivial subgroup.
+"""Todd-Coxeter coset enumeration over a subgroup given by generating words.
 
-Given a finite presentation <x_1..x_n | w_1..w_k>, the enumerator builds the
-(right) coset table of the trivial subgroup — i.e. the regular permutation
-representation — and returns the number of live cosets, which is the order of
-the presented group whenever the enumeration closes.
+Given a finite presentation <x_1..x_n | w_1..w_k> and words h_1..h_l
+generating a subgroup H, the enumerator builds the (right) coset table of H
+and returns the number of live cosets, which is the index [G : H] of H in
+the presented group G whenever the enumeration closes.  With no subgroup
+words H is trivial, the table is the regular permutation representation and
+the index is the order of G.
 
-The strategy is HLT with lookahead: each coset is scanned against every
-relator with gaps filled by defining new cosets, then its remaining row
+The strategy is HLT with lookahead: each pass first scans every subgroup
+word at coset 0 (the coset H itself), then each coset is scanned against
+every relator with gaps filled by defining new cosets, then its remaining row
 entries are filled.  When the live-coset count would exceed ``max_cosets``
 the enumerator first attempts a lookahead pass (scanning all relators
 everywhere without defining anything, harvesting coincidences only) and
@@ -15,7 +18,8 @@ enumeration is deterministic for a fixed input.
 
 Coincidences are processed with a union-find structure (path-compressing
 ``rep``) and a queue, transplanting every edge of a dying coset onto its
-representative, exactly in the classical formulation.
+representative, exactly in the classical formulation.  The lower-numbered
+coset survives a merge, so coset 0 stays live.
 
 Letters: generator i (0-based) is column 2*i, its inverse is column 2*i + 1,
 so ``letter ^ 1`` inverts.  Public entry points accept words over signed
@@ -58,17 +62,27 @@ def free_reduce(letters: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-class CosetTable:
-    """Mutable enumeration state for one presentation."""
+def _letter_words(words: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Signed words as freely reduced column-letter words, empty ones dropped."""
+    return tuple(w for w in (free_reduce(signed_word_to_letters(v)) for v in words) if w)
 
-    def __init__(self, ngens: int, relators: Iterable[Sequence[int]], max_cosets: int):
+
+class CosetTable:
+    """Mutable enumeration state for one presentation and subgroup."""
+
+    def __init__(
+        self,
+        ngens: int,
+        relators: Iterable[Sequence[int]],
+        max_cosets: int,
+        subgroup: Iterable[Sequence[int]] = (),
+    ):
         if max_cosets < 1:
             raise ValueError("max_cosets must be positive")
         self.ngens = ngens
         self.width = 2 * ngens
-        self.relators = tuple(
-            w for w in (free_reduce(signed_word_to_letters(r)) for r in relators) if w
-        )
+        self.relators = _letter_words(relators)
+        self.subgroup = _letter_words(subgroup)
         self.max_cosets = max_cosets
         self.table: list[list[int]] = [[UNDEF] * self.width]
         self.p: list[int] = [0]
@@ -181,6 +195,8 @@ class CosetTable:
     # -- HLT driver --------------------------------------------------------------
 
     def _hlt_pass(self) -> None:
+        for word in self.subgroup:
+            self._scan(0, word, fill=True)
         alpha = 0
         while alpha < len(self.table):
             if self.p[alpha] != alpha:
@@ -210,24 +226,27 @@ class CosetTable:
 
     # -- verification and public API ---------------------------------------------
 
+    def _trace(self, alpha: int, word: Sequence[int]) -> int:
+        """The coset alpha^word (meaningful once every live row is complete)."""
+        for letter in word:
+            alpha = self.table[alpha][letter]
+        return alpha
+
     def _closed_and_consistent(self) -> bool:
-        """True iff all live rows are complete and all relators scan trivially."""
+        """True iff all live rows are complete, all relators scan trivially
+        and every subgroup word loops at coset 0."""
         for alpha in range(len(self.table)):
             if self.p[alpha] != alpha:
                 continue
             row = self.table[alpha]
             if any(entry == UNDEF or self.p[entry] != entry for entry in row):
                 return False
-            for word in self.relators:
-                cur = alpha
-                for letter in word:
-                    cur = self.table[cur][letter]
-                if cur != alpha:
-                    return False
-        return True
+            if any(self._trace(alpha, word) != alpha for word in self.relators):
+                return False
+        return all(self._trace(0, word) == 0 for word in self.subgroup)
 
     def enumerate(self) -> int:
-        """Run to closure and return the number of cosets (the group order)."""
+        """Run to closure and return the number of cosets (the index)."""
         if self.width == 0:
             return 1
         clean_passes = 0
@@ -249,11 +268,17 @@ class CosetTable:
                 raise InternalCheckError("coset enumeration failed to stabilise")
 
 
-def todd_coxeter(ngens: int, relators: Iterable[Sequence[int]], max_cosets: int) -> int:
-    """Order of <x_1..x_ngens | relators> by coset enumeration.
+def todd_coxeter(
+    ngens: int,
+    relators: Iterable[Sequence[int]],
+    max_cosets: int,
+    subgroup: Iterable[Sequence[int]] = (),
+) -> int:
+    """Index in <x_1..x_ngens | relators> of the subgroup generated by the
+    ``subgroup`` words, by coset enumeration; with none, the group's order.
 
-    ``relators`` are words over signed generator numbers (+-(i+1)).  Raises
+    All words are over signed generator numbers (+-(i+1)).  Raises
     CosetLimitExceeded when the table cannot close within ``max_cosets`` live
     cosets.  The result is independent of relator order.
     """
-    return CosetTable(ngens, relators, max_cosets).enumerate()
+    return CosetTable(ngens, relators, max_cosets, subgroup).enumerate()

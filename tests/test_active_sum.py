@@ -25,7 +25,8 @@ from metasum.active_sum import (
     verdict,
 )
 from metasum.core import Subgroup, cyclic_subgroup, validate
-from metasum.errors import InternalCheckError
+from metasum.coset import todd_coxeter as enumerate_cosets
+from metasum.errors import CosetLimitExceeded, InternalCheckError
 from metasum.families import (
     Family,
     abelianized_group,
@@ -130,6 +131,49 @@ class TestEnumeratedOrders:
         p = validate(5, 1, 2, 1)
         pres = build_active_sum_presentation(p, build_generator_family(p))
         assert todd_coxeter(pres, max_cosets=500) == 25
+
+    def test_limit_counts_cosets_of_the_largest_member(self, negative_control):
+        # |S| = 32 and the largest member has order 8, so the index is 4.  HLT
+        # defines more cosets than that on the way, but none of |S| = 32.
+        pres = build_active_sum_presentation(
+            negative_control, build_generator_family(negative_control)
+        )
+        assert max(g.order for g in pres.generators) == 8
+        assert todd_coxeter(pres, max_cosets=8) == 32
+        with pytest.raises(CosetLimitExceeded):
+            todd_coxeter(pres, max_cosets=3)
+
+    def test_no_generators_is_the_trivial_group(self):
+        p = validate(1, 1, 0, 1)
+        pres = build_active_sum_presentation(p, build_generator_family(p))
+        assert pres.ngens == 0
+        assert todd_coxeter(pres, max_cosets=1) == 1
+
+    def test_missing_power_relator_is_an_internal_error(self):
+        pres = FpPresentation(
+            generators=(PresentationGenerator(symbol="x0", order=3, element=(1, 0)),),
+            relators=((1, 1),),
+        )
+        with pytest.raises(InternalCheckError):
+            todd_coxeter(pres, max_cosets=10)
+
+    def test_matches_trivial_subgroup_enumeration_up_to_order_32(self, pool_48):
+        # The order over the trivial subgroup is the oracle.  ``auto`` picks
+        # one of these two families per tuple, so all three modes are covered.
+        checked = 0
+        for p in pool_48:
+            if p.order > 32:
+                break
+            limit = DEFAULT_COSET_FACTOR * p.order
+            for family in (build_generator_family(p), build_hall_family(p).family):
+                pres = build_active_sum_presentation(p, family)
+                try:
+                    oracle = enumerate_cosets(pres.ngens, pres.relators, limit)
+                except CosetLimitExceeded:
+                    continue
+                assert todd_coxeter(pres, max_cosets=limit) == oracle, p
+                checked += 1
+        assert checked == 1482
 
 
 class TestAbelianization:
@@ -260,10 +304,30 @@ class TestVerdict:
         assert not v.isomorphic
 
     def test_partial_verdict_under_tiny_limit(self, negative_control):
-        v = verdict(negative_control, build_generator_family(negative_control), max_cosets=5)
+        # the index of the order-8 member's subgroup is 32 / 8 = 4 > 3
+        v = verdict(negative_control, build_generator_family(negative_control), max_cosets=3)
         assert v.active_sum_order is None
         assert v.abelianized_order_s is not None  # abelianization needs no enumeration
-        assert not v.isomorphic
+        assert v.isomorphic is None
+
+    def test_theorem3_rows_partial_over_the_trivial_subgroup_now_close(self, pool_48):
+        # Over the trivial subgroup, 188 theorem3 rows of order <= 24 hit the
+        # default limit of 10 x |G| cosets.  Over <x_F> every row closes, and
+        # those 188 with |S| != |G|.
+        was_partial = 0
+        for p in pool_48:
+            if p.order > 24:
+                break
+            family = build_generator_family(p)
+            v = verdict(p, family)
+            assert v.active_sum_order is not None, p
+            pres = build_active_sum_presentation(p, family)
+            try:
+                enumerate_cosets(pres.ngens, pres.relators, DEFAULT_COSET_FACTOR * p.order)
+            except CosetLimitExceeded:
+                was_partial += 1
+                assert v.active_sum_order != p.order and v.isomorphic is False, p
+        assert was_partial == 188
 
     def test_default_coset_budget_is_ten_times_group_order(self):
         assert DEFAULT_COSET_FACTOR == 10

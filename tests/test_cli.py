@@ -148,15 +148,26 @@ class TestVerify:
         code, _ = run_cli(["verify", "-m", "8", "-s", "2", "-t", "2", "-r", "3"])
         assert code == EXIT_INVALID
 
+    # (8,2,2,5) under theorem3: |S| = 32 over an order-8 member, index 4 > 3
+    PARTIAL_VERIFY = ["verify", "-m", "8", "-s", "2", "-t", "2", "-r", "5",
+                      "--family", "theorem3", "--max-cosets", "3"]
+
     def test_tiny_coset_budget_exits_resource(self):
-        code, out = run_cli(
-            ["verify", "-m", "8", "-s", "2", "-t", "2", "-r", "5",
-             "--family", "theorem3", "--max-cosets", "5", "--output", "json"]
-        )
+        code, out = run_cli(self.PARTIAL_VERIFY + ["--output", "json"])
         assert code == EXIT_RESOURCE
         payload = json.loads(out)
         assert payload["orders"]["active_sum"] is None
-        assert payload["isomorphic"] is False
+        assert payload["isomorphic"] is None
+        assert '"isomorphic": null' in out
+
+    def test_partial_verdict_is_unknown_in_text_and_csv(self):
+        code, out = run_cli(self.PARTIAL_VERIFY)
+        assert code == EXIT_RESOURCE
+        assert "|S|=unknown" in out
+        assert out.endswith("isomorphic: unknown\n")
+        code, out = run_cli(self.PARTIAL_VERIFY + ["--output", "csv"])
+        assert code == EXIT_RESOURCE
+        assert out.splitlines()[1] == "8,2,2,5,false,true,false,true,,16,,theorem3,true"
 
     def test_cap_exceeded_exits_resource(self, monkeypatch):
         monkeypatch.setenv("METASUM_CAP", "4")
@@ -204,16 +215,21 @@ class TestScan:
         assert canonical_json(json.loads(out)) + "\n" == out
 
     def test_partial_rows_flagged_not_fatal(self):
+        # One live coset closes only where S is the cyclic subgroup of its
+        # largest member.  S3 = (3,2,0,2) has no element of order 6, so its
+        # index is at least 2 and its row must be partial.
         code, out = run_cli(
-            ["scan", "--max-order", "8", "--max-cosets", "3", "--output", "json"]
+            ["scan", "--max-order", "8", "--max-cosets", "1", "--output", "json"]
         )
         assert code == EXIT_OK
         rows = json.loads(out)
-        assert any(row["partial"] for row in rows)
+        [s3] = [row for row in rows if (row["m"], row["s"], row["t"], row["r"]) == (3, 2, 0, 2)]
+        assert s3["partial"]
+        assert not all(row["partial"] for row in rows)
         for row in rows:
             if row["partial"]:
                 assert row["active_sum_order"] is None
-                assert row["isomorphic"] is False
+                assert row["isomorphic"] is None
 
     def test_max_order_above_cap_is_invalid(self, monkeypatch):
         monkeypatch.setenv("METASUM_CAP", "4")
@@ -222,17 +238,20 @@ class TestScan:
 
     # sha256 of the stdout of ``scan --max-order 24`` in every output and
     # family mode, frozen: a change that is not meant to alter the reports
-    # must leave every byte of them as it is.
+    # must leave every byte of them as it is.  The theorem3 digests were
+    # retaken when |S| moved to enumeration over <x_F>: 188 rows that hit the
+    # limit over the trivial subgroup now close with |S| != |G|; every other
+    # row is unchanged.
     SCAN_24_SHA256 = {
         ("csv", "auto"): "47f7253cd56ab73c16ef011ca32e587030ea480411c997c1ee737ad5bafc5829",
         ("csv", "hall"): "6230f66467e775f05aad09b0506616b6ef6b218f12370c4c334f80ee852066a9",
-        ("csv", "theorem3"): "b70f9afcdbc3ebbb2655f125c06c344b5608f8f76a402d9ee417bfd15297a6e2",
+        ("csv", "theorem3"): "ddbe4ae72e98ef4beea75b7a221ebd96ab1188590c52c4371dd67c91dd7670c6",
         ("json", "auto"): "f60d336fa1943be840237b8749780b5ead890189e908a1a0281eecdaeec4f201",
         ("json", "hall"): "d096c7ba9e01553d65ea974a0aa3b6c9be8f4b22de88c22d731d52aba95a18a6",
-        ("json", "theorem3"): "35762f4c7ed0532e39386e43c194238ae833dd810dbe9920345b511f905273f6",
+        ("json", "theorem3"): "d4c94a8e0882e53fd52c93fd7051ca310c99b9c0cf60bbff3de0cb6621ce6daa",
         ("text", "auto"): "cdaed1fc7dc4da72cde402f7100038193516b404f0c18a27dbc7bcc07d5bf16e",
         ("text", "hall"): "4fa38b0fd8f91ce4c87130531778d609c90d787e0178f53837fc95c053ba8209",
-        ("text", "theorem3"): "c9ba308b4e9c849f8f2786fd171ebe47a4d8309ee7d206b6186215211ac4e416",
+        ("text", "theorem3"): "e5013d8dfcc9aeec5595b77370b727cbe6369111aa7f4d7f43965669428cc7dd",
     }
 
     @pytest.mark.parametrize("output, family", sorted(SCAN_24_SHA256))

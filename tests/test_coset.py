@@ -1,8 +1,9 @@
-"""Coset enumeration: word encoding, HLT with lookahead, limits.
+"""Coset enumeration: word encoding, HLT with lookahead, limits, subgroups.
 
-Relators are signed generator words (1-based; negative = inverse).  Expected
-indices for the presentations below are classical; sympy's independent
-enumerator is used as a cross-check oracle on the same inputs.
+Relators and subgroup generators are signed generator words (1-based;
+negative = inverse).  Expected indices for the presentations below are
+classical; sympy's independent enumerator is used as a cross-check oracle on
+the same inputs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metasum.coset import free_reduce, signed_word_to_letters, todd_coxeter
+from metasum.coset import CosetTable, free_reduce, signed_word_to_letters, todd_coxeter
 from metasum.errors import CosetLimitExceeded
 
 S3_RELATORS = [[1, 1, 1], [2, 2], [1, 2, 1, 2]]
@@ -85,24 +86,69 @@ class TestLimits:
         assert todd_coxeter(2, S3_RELATORS, max_cosets=60) == 6
 
 
+class TestSubgroups:
+    def test_cyclic_subgroup_of_cyclic_group(self):
+        # <x**3> has order 4 in Z_12, so index 3
+        assert todd_coxeter(1, [[1] * 12], max_cosets=100, subgroup=[[1, 1, 1]]) == 3
+        assert todd_coxeter(1, [[1] * 12], max_cosets=100, subgroup=[[1]]) == 1
+
+    def test_both_generators_give_the_whole_group(self):
+        assert todd_coxeter(2, S3_RELATORS, max_cosets=100, subgroup=[[1], [2]]) == 1
+
+    def test_trivial_words_give_the_trivial_subgroup(self):
+        assert todd_coxeter(2, Q8_RELATORS, max_cosets=100, subgroup=[[], [1, -1]]) == 8
+
+    def test_subgroup_word_must_loop_at_coset_zero(self):
+        # The regular table of Z_2 is complete and x**2 scans trivially at
+        # both cosets, but x leads from coset 0 to coset 1, so it is not the
+        # table of <x>.
+        regular = [[1, 1], [0, 0]]
+        plain = CosetTable(1, [[1, 1]], max_cosets=10)
+        over_x = CosetTable(1, [[1, 1]], max_cosets=10, subgroup=[[1]])
+        for table in (plain, over_x):
+            table.table = [row[:] for row in regular]
+            table.p = [0, 1]
+            table.nlive = 2
+        assert plain._closed_and_consistent()
+        assert not over_x._closed_and_consistent()
+        assert over_x.enumerate() == 1
+
+    def test_limit_below_the_index_binds(self):
+        with pytest.raises(CosetLimitExceeded):
+            todd_coxeter(2, S3_RELATORS, max_cosets=2, subgroup=[[2]])
+
+
 class TestSympyCrossCheck:
     """Same presentations through an unrelated implementation."""
 
-    @pytest.mark.parametrize("relators", [S3_RELATORS, Q8_RELATORS, Q12_RELATORS])
-    def test_two_generator_presentations(self, relators):
+    @staticmethod
+    def _sympy_group(relators):
+        """The two-generator presentation as a sympy FpGroup, with the
+        sympy word of each signed letter."""
         from sympy.combinatorics.fp_groups import FpGroup
         from sympy.combinatorics.free_groups import free_group
 
         F, x, y = free_group("x y")
-        table = {1: x, -1: x**-1, 2: y, -2: y**-1}
-        sym_rels = []
+        letters = {1: x, -1: x**-1, 2: y, -2: y**-1}
+        words = []
         for rel in relators:
             word = F.identity
             for g in rel:
-                word = word * table[g]
-            sym_rels.append(word)
-        expected = FpGroup(F, sym_rels).order()
-        assert todd_coxeter(2, relators, max_cosets=400) == expected
+                word = word * letters[g]
+            words.append(word)
+        return FpGroup(F, words), letters
+
+    @pytest.mark.parametrize("relators", [S3_RELATORS, Q8_RELATORS, Q12_RELATORS])
+    def test_two_generator_presentations(self, relators):
+        group, _ = self._sympy_group(relators)
+        assert todd_coxeter(2, relators, max_cosets=400) == group.order()
+
+    @pytest.mark.parametrize("relators", [S3_RELATORS, Q8_RELATORS, Q12_RELATORS])
+    @pytest.mark.parametrize("generator", [1, 2])
+    def test_index_over_a_cyclic_subgroup(self, relators, generator):
+        group, letters = self._sympy_group(relators)
+        expected = group.index([letters[generator]])
+        assert todd_coxeter(2, relators, max_cosets=400, subgroup=[[generator]]) == expected
 
     @pytest.mark.parametrize("n", [7, 12, 30])
     def test_cyclic(self, n):
