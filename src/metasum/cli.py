@@ -16,7 +16,7 @@ Exit codes (fixed for CI use):
 * 0 — success; for ``verify`` this additionally requires isomorphic = true.
 * 1 — invalid input (bad flags or parameters violating the presentation
   constraints).
-* 2 — resource limit hit (coset limit, element-enumeration cap, overflow).
+* 2 — resource limit hit (coset limit, enumeration cap, overflow, memory).
 * 3 — oracle mismatch or failed internal check (signals an implementation
   bug, never bad user input).
 * 4 — ``verify`` completed but the active sum is not isomorphic to the
@@ -230,15 +230,9 @@ def _print_verify_text(payload: dict) -> None:
     print(f"family generators: {gens}")
     reps = " ".join(f"({g[0]},{g[1]})" for g in payload["transversal"])
     print(f"transversal: {reps}")
-    c = payload["checks"]
-    print(
-        "checks: generating={} regular={} independent={} ganea={}".format(
-            _fmt_bool(c["generating"]),
-            _fmt_bool(c["regular"]),
-            _fmt_bool(c["independent"]),
-            _fmt_bool(c["ganea"]),
-        )
-    )
+    names = ("generating", "regular", "independent", "ganea")
+    flags = " ".join(f"{name}={_fmt_bool(payload['checks'][name])}" for name in names)
+    print(f"checks: {flags}")
     o = payload["orders"]
     active = "unknown" if o["active_sum"] is None else o["active_sum"]
     print(
@@ -598,8 +592,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConstraintViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (CapExceeded, CosetLimitExceeded, OverflowDetected) as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (CapExceeded, CosetLimitExceeded, OverflowDetected, MemoryError) as exc:
+        print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except (InternalCheckError, SearchFailed) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)

@@ -23,12 +23,13 @@ The module has two layers:
 
 * element-level functions (``mul``, ``inverse``, ``power``, ``conjugate``,
   ``element_order``, ``generate_subgroup``) that work on normal-form tuples
-  and are used by all structural constructions; and
-* a dense :class:`CayleyTable` built by independent vectorised arithmetic,
-  which backs the brute-force oracles (``bruteforce_center``,
-  ``bruteforce_derived``, ``normalizer``, ``commutator_span``).  The oracles
-  scan the full multiplication table with no structural shortcuts, so they
-  can cross-check every closed-form formula in :mod:`metasum.structure`.
+  and are used by all structural constructions, and ``element_orders``; and
+* a dense :class:`CayleyTable` built by independent vectorised arithmetic.
+  Production code reads blocks of it (``conjugates``, ``normalizer_idx``,
+  ``commutator_span_idx``, ``commute``); the whole-group ``conj``, ``orders``,
+  ``center_idx`` and ``derived_idx`` back the brute-force oracles, which scan
+  the full table with no structural shortcuts to cross-check every closed
+  form in :mod:`metasum.structure` and ``element_orders``.
 
 The element-enumeration cap (default ``10**6``, set by the ``METASUM_CAP``
 environment variable and read by :func:`default_cap`) bounds every operation
@@ -199,6 +200,30 @@ def element_order(p: MetacyclicParams, x: Element) -> int:
     return n
 
 
+@lru_cache(maxsize=64)
+def element_orders(p: MetacyclicParams) -> np.ndarray:
+    """Read-only order of every element, indexed ``i*s + j``; cached per p.
+
+    With k = s/gcd(j, s) the order of b**j modulo <a>, (a**i b**j)**k = a**A
+    where A = i*(1 + x + ... + x**(k-1)) + t*j/gcd(j, s) and x = r**-j, so
+    the order is k*m/gcd(A, m).  CapExceeded when |G| exceeds the cap.
+    """
+    _check_cap(p.order, "group order")
+    m, s, j = p.m, p.s, np.arange(p.s, dtype=np.int64)
+    k = s // np.gcd(j, s)
+    # The geometric sums by the binary digits of k: S(c + 2**e) = S(c) + x**c S(2**e).
+    geo, x_c, block = np.zeros(s, dtype=np.int64), np.full(s, 1 % m), np.full(s, 1 % m)
+    x_e = np.array(p._rinv_pows, dtype=np.int64)
+    for e in range(int(k.max()).bit_length()):
+        bit = (k >> e) & 1 == 1
+        geo, x_c = np.where(bit, (geo + x_c * block) % m, geo), np.where(bit, x_c * x_e % m, x_c)
+        block, x_e = block * (1 + x_e) % m, x_e * x_e % m
+    a_exp = (np.arange(m, dtype=np.int64)[:, None] * geo + p.t * (j * k // s)) % m
+    out = (k * (m // np.gcd(a_exp, m))).ravel()
+    out.setflags(write=False)
+    return out
+
+
 def enumerate_elements(p: MetacyclicParams) -> list[Element]:
     """All m*s normal forms in lexicographic order; CapExceeded if too many."""
     _check_cap(p.order, "group order")
@@ -344,16 +369,14 @@ class CayleyTable:
 
     @cached_property
     def conj(self) -> np.ndarray:
-        """conj[h, x] = h**-1 * x * h."""
-        tab = self.table
-        left = tab[self.inv[:, None], np.arange(self.n)[None, :]]
-        out = tab[left, np.arange(self.n)[:, None]]
+        """conj[h, x] = h**-1 * x * h over the whole group (oracle only)."""
+        out = self.conjugates(np.arange(self.n), np.arange(self.n))
         out.setflags(write=False)
         return out
 
     @cached_property
     def orders(self) -> np.ndarray:
-        """Multiplicative order of every element."""
+        """Multiplicative order of every element (oracle of :func:`element_orders`)."""
         tab = self.table
         out = np.zeros(self.n, dtype=np.int64)
         alive = np.arange(self.n)
@@ -370,6 +393,11 @@ class CayleyTable:
         return out
 
     # -- brute-force computations ---------------------------------------------
+
+    def conjugates(self, hs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Block [h, x] = h**-1 * x * h over the index arrays hs and xs."""
+        hs = np.asarray(hs)[:, None]
+        return self.table[self.table[self.inv[hs], xs], hs]
 
     def closure_idx(self, seed: np.ndarray) -> np.ndarray:
         """Subgroup generated by the seed indices: iterate pairwise products."""
@@ -401,7 +429,7 @@ class CayleyTable:
     def normalizer_idx(self, members: np.ndarray) -> np.ndarray:
         member_mask = np.zeros(self.n, dtype=bool)
         member_mask[members] = True
-        ok = member_mask[self.conj[:, members]].all(axis=1)
+        ok = member_mask[self.conjugates(np.arange(self.n), members)].all(axis=1)
         return np.nonzero(ok)[0]
 
     def commutator_span_idx(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -22,8 +22,8 @@ G are implemented here:
 
   The left side always sits inside the right (commutators with normalizing
   elements stay in F, and all commutators lie in G'), so the check fails only
-  when some element of F ∩ G' is missed.  Both sides are computed by
-  brute-force table scans.
+  when some element of F ∩ G' is missed.  G' = <a**(r-1)> is the closed
+  form; N_G(F) and [F, N_G(F)] are scanned in blocks of the Cayley table.
 
 * **independence** — the canonical map  ⊕_{F in T} F/(F ∩ G') → G/G'  is an
   isomorphism, where T is a transversal of conjugacy classes (conjugate
@@ -44,7 +44,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Callable, Iterable
 
 from .core import (
     Element,
@@ -52,13 +53,13 @@ from .core import (
     Subgroup,
     cayley_table,
     conjugate,
-    conjugate_subgroup,
     cyclic_subgroup,
     generate_subgroup,
     power,
 )
 from .errors import ConditionFails, InternalCheckError
 from .lattice import AbelianQuotient, IntMatrix, abelian_quotient
+from .structure import derived_closed_form
 
 def defining_generators(p: MetacyclicParams) -> tuple[Element, Element]:
     """Normal forms of the defining generators a and b.
@@ -106,6 +107,25 @@ class Family:
         """(subgroup, component) pairs in canonical member order."""
         return tuple(zip(self.subgroups, self.components))
 
+    @cached_property
+    def transversal(self) -> "Transversal":
+        """The family's transversal, computed once (see :func:`transversal`)."""
+        by_component: dict[int, set[Subgroup]] = {}
+        for sub, comp in self.indexed_members():
+            by_component.setdefault(comp, set()).add(sub)
+        orbits: list[tuple[Subgroup, int, int]] = []
+        for comp in sorted(by_component):
+            members = by_component[comp]
+            seed = min(members, key=lambda s: s.key)
+            if _orbit_of(self.params, seed) != members:
+                raise ValueError("family is not conjugation closed")
+            orbits.append((seed, len(members), comp))
+        orbits.sort(key=lambda trip: (trip[0].key, trip[2]))
+        return Transversal(
+            representatives=tuple(rep for rep, _, _ in orbits),
+            orbit_sizes=tuple(size for _, size, _ in orbits),
+        )
+
 
 @dataclass(frozen=True)
 class Transversal:
@@ -133,14 +153,25 @@ def _assemble_family(p: MetacyclicParams, orbits: Iterable[Iterable[Subgroup]]) 
     )
 
 
+def _conjugation_maps(p: MetacyclicParams) -> tuple[Callable, Callable]:
+    """x -> x**a and x -> x**b in closed form, for the defining generators:
+    (i, j)**a = (i - 1 + r**-j, j) and (i, j)**b = (i*r, j)."""
+    m, r, twist = p.m, p.r, p._rinv_pows
+    return (
+        lambda x: ((x[0] - 1 + twist[x[1]]) % m, x[1]),
+        lambda x: (x[0] * r % m, x[1]),
+    )
+
+
 def _orbit_of(p: MetacyclicParams, seed: Subgroup) -> set[Subgroup]:
-    gens = defining_generators(p)
+    maps = _conjugation_maps(p)
     orbit = {seed}
     frontier = [seed]
     while frontier:
         sub = frontier.pop()
-        for g in gens:
-            conj = conjugate_subgroup(p, sub, g)
+        for f in maps:
+            gen = None if sub.generator is None else f(sub.generator)
+            conj = Subgroup(frozenset(map(f, sub.elements)), generator=gen)
             if conj not in orbit:
                 orbit.add(conj)
                 frontier.append(conj)
@@ -193,23 +224,12 @@ def transversal(p: MetacyclicParams, family: Family) -> Transversal:
     Each component must be a full conjugation orbit (ValueError otherwise);
     its representative is the member with the lexicographically least
     canonical element set.  Representatives are sorted by that same key,
-    component label breaking ties between coincident orbits.
+    component label breaking ties between coincident orbits.  Computed once
+    per family and cached on it; a failed check raises on every call.
     """
-    by_component: dict[int, set[Subgroup]] = {}
-    for sub, comp in family.indexed_members():
-        by_component.setdefault(comp, set()).add(sub)
-    orbits: list[tuple[Subgroup, int, int]] = []
-    for comp in sorted(by_component):
-        members = by_component[comp]
-        seed = min(members, key=lambda s: s.key)
-        if _orbit_of(p, seed) != members:
-            raise ValueError("family is not conjugation closed")
-        orbits.append((seed, len(members), comp))
-    orbits.sort(key=lambda trip: (trip[0].key, trip[2]))
-    return Transversal(
-        representatives=tuple(rep for rep, _, _ in orbits),
-        orbit_sizes=tuple(size for _, size, _ in orbits),
-    )
+    if family.params != p:
+        raise ValueError(f"family belongs to {family.params}, not {p}")
+    return family.transversal
 
 
 def family_generators(family: Family) -> list[Element]:
@@ -260,13 +280,13 @@ class RegularityReport:
 def is_regular(p: MetacyclicParams, family: Family) -> RegularityReport:
     """Check [F, N_G(F)] = F ∩ G' on a transversal, with full witnesses.
 
-    Normalizers, commutator spans and the derived subgroup all come from the
-    brute-force table layer.  Conjugation equivariance of every ingredient
+    Normalizers and commutator spans come from table blocks, G' from its
+    closed form.  Conjugation equivariance of every ingredient
     makes per-representative checking equivalent to checking all members
     (asserted separately by the property-test suite).
     """
     tab = cayley_table(p)
-    derived = frozenset(tab.el(i) for i in tab.derived_idx)
+    derived = derived_closed_form(p).elements
     checks = []
     for rep in transversal(p, family).representatives:
         members = tab.idx_array(rep.elements)
@@ -318,8 +338,7 @@ def is_independent(p: MetacyclicParams, family: Family) -> IndependenceReport:
     exponent-vector class, so surjectivity is equivalent to the generator
     images spanning G/G'; injectivity then follows from the order count.
     """
-    tab = cayley_table(p)
-    derived = frozenset(tab.el(i) for i in tab.derived_idx)
+    derived = derived_closed_form(p).elements
     reps = transversal(p, family).representatives
     local_orders = []
     image_rows = []

@@ -22,13 +22,15 @@ of cyclic subgroups whose active sum recovers G:
   what the active-sum argument needs locally.
 
 The search tries prime sets in decreasing size (then lexicographically) and
-returns the first one for which every condition holds; each condition is
-decidable by brute-force scans of the Cayley table.  The pi-parts of the
-defining generators always span a Hall pi-subgroup H0 (the pi-part of <a>
-is normal, and the pi-part of b covers the full pi-share of the quotient
-G/<a>), so candidate Hall subgroups are exactly the conjugates of H0.
-Nilpotency and G' ∩ H = H' transfer along conjugation and are tested once;
-the centraliser condition for U is tested per conjugate.
+returns the first one for which every condition holds.  Element orders
+and G' are closed forms; closure, H' and commutation are scanned in
+subgroup-sized blocks of the Cayley table.  The pi-parts of the defining
+generators always span a Hall pi-subgroup H0 (the pi-part of <a> is normal,
+and the pi-part of b covers the full pi-share of G/<a>), so candidate Hall
+subgroups are exactly the conjugates of H0, walked as its orbit under a and
+b.  Nilpotency and G' ∩ H = H' transfer along conjugation and are tested
+once; the centraliser condition for U is tested per conjugate, in ascending
+order of their sorted index rows.
 
 The family is the conjugacy closure of the nontrivial seeds
 {V, U, <alpha_q>, <beta_q>}: closing under all of G automatically adds the
@@ -53,7 +55,7 @@ from .core import (
     conjugate,
     cyclic_subgroup,
     element_log,
-    element_order,
+    element_orders,
     generate_subgroup,
     power,
     trivial_subgroup,
@@ -67,6 +69,7 @@ from .families import (
     transversal,
     xgcd,
 )
+from .structure import derived_closed_form
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
@@ -101,7 +104,7 @@ def pi_part(p: MetacyclicParams, g: Element, primes: tuple[int, ...]) -> Element
     With n = n_pi * n_rest coprime and 1 = x*n_pi + y*n_rest, the element
     g**(y*n_rest) has order n_pi and g equals the product of its two parts.
     """
-    n = element_order(p, g)
+    n = int(element_orders(p)[g[0] * p.s + g[1]])
     n_pi, n_rest = _split_by_primes(n, primes)
     _, _, y = xgcd(n_pi, n_rest)
     return power(p, g, (y * n_rest) % n)
@@ -109,7 +112,7 @@ def pi_part(p: MetacyclicParams, g: Element, primes: tuple[int, ...]) -> Element
 
 def pi_complement_part(p: MetacyclicParams, g: Element, primes: tuple[int, ...]) -> Element:
     """The power of g whose order is the pi'-part of the order of g."""
-    n = element_order(p, g)
+    n = int(element_orders(p)[g[0] * p.s + g[1]])
     n_pi, n_rest = _split_by_primes(n, primes)
     _, x, _ = xgcd(n_pi, n_rest)
     return power(p, g, (x * n_pi) % n)
@@ -160,7 +163,7 @@ def _sylow_split(tab: CayleyTable, h_idx: np.ndarray) -> list[tuple[int, np.ndar
     """Per-prime subgroups of q-power-order elements, or None if some set
     fails to be a subgroup of full Sylow size (i.e. the group is not nilpotent)."""
     size = h_idx.size
-    ords = tab.orders[h_idx]
+    ords = element_orders(tab.params)[h_idx]
     out: list[tuple[int, np.ndarray]] = []
     for q in prime_factors(size):
         q_part, _ = _split_by_primes(size, (q,))
@@ -178,7 +181,7 @@ def _factor_sylow(
     subgroup and the local divisibility condition; deterministic search order
     (alpha by decreasing order then normal form, beta by normal form)."""
     size = int(sylow_idx.size)
-    ords = tab.orders[sylow_idx]
+    ords = element_orders(p)[sylow_idx]
     elems = [tab.el(i) for i in sylow_idx]  # ascending normal-form order
     if int(ords.max()) == size:
         gen = elems[int(np.argmax(ords == size))]
@@ -196,9 +199,7 @@ def _factor_sylow(
     for alpha in sorted(elems, key=lambda g: (-order_of[g], g)):
         part_a = cyclic_subgroup(p, alpha)
         a_idx = tab.idx_array(part_a.elements)
-        a_mask = np.zeros(tab.n, dtype=bool)
-        a_mask[a_idx] = True
-        if not a_mask[tab.conj[np.ix_(sylow_idx, a_idx)]].all():
+        if not np.isin(tab.conjugates(sylow_idx, a_idx), a_idx).all():
             continue  # <alpha> not normal in the Sylow subgroup
         for beta in elems:
             part_b = cyclic_subgroup(p, beta)
@@ -223,12 +224,25 @@ def _factor_sylow(
     )
 
 
+def _conjugate_rows(tab: CayleyTable, sub_idx: np.ndarray) -> np.ndarray:
+    """Sorted index rows of the G-conjugates of a subgroup, ascending, from a
+    walk over its orbit under the defining generators."""
+    gens = [tab.idx(g) for g in defining_generators(tab.params)]
+    seen, frontier = {tuple(sub_idx.tolist())}, [sub_idx]
+    while frontier:
+        for row in np.sort(tab.conjugates(gens, frontier.pop()), axis=1):
+            if (key := tuple(row.tolist())) not in seen:
+                seen.add(key)
+                frontier.append(row)
+    return np.array(sorted(seen), dtype=np.int64)
+
+
 def _try_prime_set(
     p: MetacyclicParams, tab: CayleyTable, primes: tuple[int, ...]
 ) -> HallDecomposition | None:
     _, n_target = _split_by_primes(p.order, primes)
     pi_prod = math.prod(primes)
-    n_idx = np.nonzero(np.gcd(tab.orders, pi_prod) == 1)[0]
+    n_idx = np.nonzero(np.gcd(element_orders(p), pi_prod) == 1)[0]
     if n_idx.size != n_target or not _closed_under_product(tab, n_idx):
         return None  # the pi'-elements do not form a Hall subgroup
     a, b = defining_generators(p)
@@ -252,7 +266,7 @@ def _try_prime_set(
         return None  # N does not split as V x| U
     if math.gcd(p.r - 1, kernel_part.order) != 1:
         return None
-    derived = tab.derived_idx
+    derived = tab.idx_array(derived_closed_form(p).elements)
     if not np.array_equal(
         np.intersect1d(derived, n_idx), tab.idx_array(kernel_part.elements)
     ):
@@ -263,8 +277,7 @@ def _try_prime_set(
         return None  # G' ∩ H != H' (conjugation-invariant, so checked once)
 
     u_idx = tab.idx_array(top_part.elements)
-    conjugate_rows = np.unique(np.sort(tab.conj[:, h0_idx], axis=1), axis=0)
-    for row in conjugate_rows:
+    for row in _conjugate_rows(tab, h0_idx):
         if tab.commute(u_idx, row):
             hall_idx = row
             break
@@ -303,16 +316,7 @@ def hall_decomposition(p: MetacyclicParams) -> HallDecomposition:
     decomposition; SearchFailed if none qualifies."""
     if p.order == 1:
         triv = trivial_subgroup(p)
-        return HallDecomposition(
-            params=p,
-            primes=(),
-            hall_subgroup=triv,
-            normal_complement=triv,
-            kernel_part=triv,
-            top_part=triv,
-            twist_exponent=1,
-            sylow_factorizations=(),
-        )
+        return HallDecomposition(p, (), triv, triv, triv, triv, 1, ())
     tab = cayley_table(p)
     primes = prime_factors(p.order)
     for size in range(len(primes), 0, -1):
@@ -338,8 +342,9 @@ def build_hall_family(p: MetacyclicParams) -> HallFamilyBuild:
 
     Seeds are the nontrivial pieces {V, U, <alpha_q>, <beta_q>}; the family
     is their conjugacy closure with set semantics (seeds sharing an orbit
-    collapse to one component).  The transversal is re-derived from the
-    closure and cross-checked against the per-seed orbits.
+    collapse to one component).  The transversal confirms that every
+    component is a full orbit; the build then checks that every seed is a
+    member and every component contains a seed.
     """
     decomp = hall_decomposition(p)
     seeds: list[Subgroup] = []
@@ -350,16 +355,9 @@ def build_hall_family(p: MetacyclicParams) -> HallFamilyBuild:
         if not sub.is_trivial and sub not in seeds:
             seeds.append(sub)
     family = conjugacy_closure(p, seeds, distinct_orbits=True)
-    found = transversal(p, family)
-    orbit_members: set[Subgroup] = set()
-    expected_reps: set[Subgroup] = set()
-    for seed in seeds:
-        orbit = conjugacy_closure(p, [seed])
-        orbit_members.update(orbit.subgroups)
-        expected_reps.add(orbit.subgroups[0])  # least member; subgroups are sorted
-    if orbit_members != set(family.subgroups) or expected_reps != set(
-        found.representatives
-    ):
+    found = transversal(p, family)  # also checks that every component is an orbit
+    component_of = dict(family.indexed_members())
+    if {component_of.get(seed) for seed in seeds} != set(family.components):
         raise InternalCheckError("hall family transversal bookkeeping out of sync")
     return HallFamilyBuild(
         decomposition=decomp, seeds=tuple(seeds), family=family, transversal=found

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from metasum import core
 from metasum.cli import (
     EXIT_INVALID,
     EXIT_NOT_ISOMORPHIC,
@@ -173,6 +174,25 @@ class TestVerify:
         monkeypatch.setenv("METASUM_CAP", "4")
         code, _ = run_cli(["verify", "-m", "8", "-s", "2", "-t", "2", "-r", "5"])
         assert code == EXIT_RESOURCE
+
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError("Unable to allocate 298. GiB"), "Unable to allocate 298. GiB"),
+            (MemoryError(), "out of memory"),
+        ],
+    )
+    def test_memory_error_exits_resource_in_one_line(self, monkeypatch, capsys, exc, message):
+        """A table allocation the machine refuses is exit 2, not a traceback."""
+
+        def refuse(self, p):
+            raise exc
+
+        monkeypatch.setattr(core.CayleyTable, "__init__", refuse)
+        core._cached_table.cache_clear()
+        code = main(["verify", "-m", "7", "-s", "3", "-t", "0", "-r", "2"])
+        assert code == EXIT_RESOURCE
+        assert capsys.readouterr().err == f"resource limit: {message}\n"
 
 
 class TestScan:

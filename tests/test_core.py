@@ -26,6 +26,7 @@ from metasum.core import (
     default_cap,
     element_log,
     element_order,
+    element_orders,
     enumerate_elements,
     generate_subgroup,
     identity,
@@ -274,6 +275,20 @@ class TestCayleyTable:
         tab = cayley_table(s3)
         i_a, i_b = tab.idx((1, 0)), tab.idx((0, 1))
         assert tab.el(tab.conj[i_b, i_a]) == conjugate(s3, (1, 0), (0, 1))
+
+    def test_conjugation_block_matches_whole_table(self, q12):
+        tab = cayley_table(q12)
+        hs, xs = np.array([1, 4, 7]), np.array([0, 2, 3, 11])
+        assert np.array_equal(tab.conjugates(hs, xs), tab.conj[np.ix_(hs, xs)])
+
+    def test_closed_form_orders_match_table_to_order_60(self, pool_100):
+        small = [p for p in pool_100 if p.order <= 60]
+        assert any(p.s == 1 for p in small) and any(p.m == 1 for p in small)
+        for p in small:
+            orders = element_orders(p)
+            assert np.array_equal(orders, cayley_table(p).orders), p
+            assert not orders.flags.writeable
+            assert element_orders(p) is orders  # cached per p
 
     def test_identity_index_is_zero(self, s3):
         tab = cayley_table(s3)

@@ -16,10 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metasum import families
+from metasum.cli import verdict_payload
 from metasum.core import (
     conjugate,
     conjugate_subgroup,
     cyclic_subgroup,
+    enumerate_elements,
     power,
     validate,
 )
@@ -146,8 +149,35 @@ class TestTransversal:
     def test_rejects_non_closed_family(self, s3):
         refl = cyclic_subgroup(s3, (0, 1))
         broken = Family(params=s3, subgroups=(refl,), components=(0,))
+        for _ in range(2):  # a failed check is not cached
+            with pytest.raises(ValueError):
+                transversal(s3, broken)
+
+    def test_rejects_family_of_another_group(self, s3, q12):
         with pytest.raises(ValueError):
-            transversal(s3, broken)
+            transversal(q12, build_generator_family(s3))
+
+    def test_one_orbit_walk_per_component_per_verdict(self, s3, monkeypatch):
+        fam = build_generator_family(s3)
+        walked = []
+        orbit_of = families._orbit_of
+        monkeypatch.setattr(
+            families, "_orbit_of", lambda p, seed: walked.append(seed) or orbit_of(p, seed)
+        )
+        verdict_payload(s3, "theorem3", fam)
+        assert len(walked) == len(set(fam.components)) == 2
+        assert transversal(s3, fam) is transversal(s3, fam)
+        assert len(walked) == 2
+
+
+class TestClosedFormConjugation:
+    def test_matches_conjugate_by_defining_generators(self, pool_48):
+        assert any(p.s == 1 for p in pool_48) and any(p.m == 1 for p in pool_48)
+        for p in pool_48:
+            maps = families._conjugation_maps(p)
+            for g, conj_by_g in zip(defining_generators(p), maps):
+                for x in enumerate_elements(p):
+                    assert conj_by_g(x) == conjugate(p, x, g), (p, x, g)
 
 
 class TestDivisibility:

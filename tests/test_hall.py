@@ -10,21 +10,33 @@ showcase groups plus sampled invariants.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metasum.core import (
+    cayley_table,
     conjugate_subgroup,
     element_order,
     enumerate_elements,
+    generate_subgroup,
     mul,
     validate,
 )
-from metasum.families import family_generators, is_independent, is_regular, transversal
+from metasum.families import (
+    defining_generators,
+    divisibility_condition,
+    family_generators,
+    is_independent,
+    is_regular,
+    transversal,
+)
 from metasum.hall import (
     HallDecomposition,
+    _conjugate_rows,
     build_hall_family,
     hall_decomposition,
     pi_complement_part,
@@ -71,6 +83,27 @@ class TestPrimePartSplit:
                 assert math.gcd(op, oq) == 1
                 assert all(prime_factors(op) == () or q in primes for q in prime_factors(op))
                 assert not any(q in primes for q in prime_factors(oq))
+
+
+class TestConjugateRows:
+    def test_walk_matches_whole_table_conjugation_to_order_60(self, pool_100):
+        """The orbit walk gives the rows np.unique gave over all n conjugates,
+        for the H0 of every prime set of every Hall-route tuple."""
+        checked = 0
+        for p in pool_100:
+            if p.order > 60 or divisibility_condition(p):
+                continue
+            tab = cayley_table(p)
+            a, b = defining_generators(p)
+            primes = prime_factors(p.order)
+            for size in range(1, len(primes) + 1):
+                for subset in combinations(primes, size):
+                    h0 = generate_subgroup(p, [pi_part(p, a, subset), pi_part(p, b, subset)])
+                    h0_idx = tab.idx_array(h0.elements)
+                    expected = np.unique(np.sort(tab.conj[:, h0_idx], axis=1), axis=0)
+                    assert np.array_equal(_conjugate_rows(tab, h0_idx), expected), (p, subset)
+                    checked += 1
+        assert checked > 1000
 
 
 class TestDecompositionFrozen:
