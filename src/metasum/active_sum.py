@@ -55,15 +55,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import (
-    Element,
-    MetacyclicParams,
-    Subgroup,
-    conjugate,
-    conjugate_subgroup,
-    element_log,
-    power,
-)
+from .core import Element, MetacyclicParams, conjugate, element_log, mul, power
 from .coset import todd_coxeter as _enumerate_raw
 from .errors import CosetLimitExceeded, InternalCheckError, NotAPower
 from .families import (
@@ -130,9 +122,23 @@ def _free_reduce_signed(word: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _member_of_generator(p: MetacyclicParams, family: Family) -> dict[tuple[int, Element], int]:
+    """(component, x) -> member index for every generator x of every member:
+    the powers w**k, gcd(k, |F|) = 1, of its witness w.  Distinct members of
+    one component are distinct cyclic subgroups, so no key repeats."""
+    member_of: dict[tuple[int, Element], int] = {}
+    for i, (sub, comp) in enumerate(family.indexed_members()):
+        x = sub.generator
+        for k in range(1, sub.order + 1):
+            if math.gcd(k, sub.order) == 1:
+                member_of[(comp, x)] = i
+            x = mul(p, x, sub.generator)
+    return member_of
+
+
 def _conjugation_relator(
     p: MetacyclicParams,
-    index_of: dict[tuple[Subgroup, int], int],
+    member_of: dict[tuple[int, Element], int],
     family: Family,
     i1: int,
     i2: int,
@@ -141,7 +147,8 @@ def _conjugation_relator(
 ) -> tuple[int, ...]:
     """Relator of the pair (h, g) = (g_F1**h_exp, g_F2**g_exp).
 
-    Expresses g**h inside the family member F2**h:  the relator says
+    Expresses g**h inside the family member F2**h, found as the member of
+    F2's component that has g_F2**h as a generator:  the relator says
     x1**-h_exp x2**g_exp x1**h_exp equals the image written in the symbol of
     F2**h.  Conjugation acts within F2's own component, which disambiguates
     coincident members from different components.  Raises InternalCheckError
@@ -149,20 +156,18 @@ def _conjugation_relator(
     valid family, so it signals a bug.
     """
     members = family.subgroups
-    f1, f2 = members[i1], members[i2]
-    h = power(p, f1.generator, h_exp)
-    g = power(p, f2.generator, g_exp)
-    target = conjugate_subgroup(p, f2, h)
+    h = power(p, members[i1].generator, h_exp)
+    gen_h = conjugate(p, members[i2].generator, h)
     try:
-        i_target = index_of[(target, family.components[i2])]
+        i_target = member_of[(family.components[i2], gen_h)]
     except KeyError:
         raise InternalCheckError("family is not conjugation closed") from None
-    image = conjugate(p, g, h)
+    image = power(p, gen_h, g_exp)  # (g_F2**g_exp)**h
     try:
         e = element_log(p, members[i_target].generator, image)
     except NotAPower as exc:
         raise InternalCheckError(
-            f"conjugate {image} of {g} by {h} is not a power of the "
+            f"conjugate {image} of g_F2**{g_exp} by {h} is not a power of the "
             f"generator of the target member {members[i_target].key}"
         ) from exc
     word = (
@@ -190,7 +195,7 @@ def build_active_sum_presentation(
             raise InternalCheckError(
                 "active-sum presentations need cyclic members with generator witnesses"
             )
-    index_of = {pair: i for i, pair in enumerate(family.indexed_members())}
+    member_of = _member_of_generator(p, family)
     gens = tuple(
         PresentationGenerator(symbol=f"x{i}", order=sub.order, element=sub.generator)
         for i, sub in enumerate(members)
@@ -209,7 +214,7 @@ def build_active_sum_presentation(
             else:
                 pairs = ((1, 1),)
             for h_exp, g_exp in pairs:
-                word = _conjugation_relator(p, index_of, family, i1, i2, h_exp, g_exp)
+                word = _conjugation_relator(p, member_of, family, i1, i2, h_exp, g_exp)
                 if word:
                     relators.append(word)
     return FpPresentation(generators=gens, relators=tuple(relators))

@@ -22,14 +22,15 @@ so it can be absorbed into the ``a`` exponent:
 The module has two layers:
 
 * element-level functions (``mul``, ``inverse``, ``power``, ``conjugate``,
-  ``element_order``, ``generate_subgroup``) that work on normal-form tuples
-  and are used by all structural constructions, and ``element_orders``; and
-* a dense :class:`CayleyTable` built by independent vectorised arithmetic.
-  Production code reads blocks of it (``conjugates``, ``normalizer_idx``,
-  ``commutator_span_idx``, ``commute``); the whole-group ``conj``, ``orders``,
-  ``center_idx`` and ``derived_idx`` back the brute-force oracles, which scan
-  the full table with no structural shortcuts to cross-check every closed
-  form in :mod:`metasum.structure` and ``element_orders``.
+  ``element_order``, ``generate_subgroup``) on normal-form tuples, the same
+  formulas vectorised on index arrays ``i*s + j`` (``mul_idx``, ``inv_idx``;
+  memory linear in the arrays) and ``element_orders``: every production
+  check is built from these; and
+* a dense :class:`CayleyTable` (independent vectorised arithmetic, memory
+  quadratic in |G|) for the brute-force oracles and tests only: its whole-
+  table scans cross-check the closed forms in :mod:`metasum.structure`,
+  ``element_orders``, the index arithmetic and the table-free checks in
+  :mod:`metasum.families` and :mod:`metasum.hall`.
 
 The element-enumeration cap (default ``10**6``, set by the ``METASUM_CAP``
 environment variable and read by :func:`default_cap`) bounds every operation
@@ -108,11 +109,6 @@ class MetacyclicParams:
         return self.m * self.s
 
     @cached_property
-    def rinv(self) -> int:
-        """Inverse of r modulo m (exists since r**s = 1 mod m)."""
-        return pow(self.r, -1, self.m)
-
-    @cached_property
     def _rinv_pows(self) -> tuple[int, ...]:
         """r**-j mod m for 0 <= j < s, the twist factors used by mul.
 
@@ -121,10 +117,18 @@ class MetacyclicParams:
         """
         m, s = self.m, self.s
         _check_cap(s, "twist table size")
+        rinv = pow(self.r, -1, m)  # exists since r**s = 1 mod m
         pows = [1 % m]
         for _ in range(s - 1):
-            pows.append(pows[-1] * self.rinv % m)
+            pows.append(pows[-1] * rinv % m)
         return tuple(pows)
+
+    @cached_property
+    def _twist(self) -> np.ndarray:
+        """The twist factors as a read-only int64 array."""
+        out = np.array(self._rinv_pows, dtype=np.int64)
+        out.setflags(write=False)
+        return out
 
 
 def validate(m: int, s: int, t: int, r: int) -> MetacyclicParams:
@@ -162,6 +166,30 @@ def inverse(p: MetacyclicParams, x: Element) -> Element:
     carry = p.t if j else 0
     k = (-(i + carry) * pow(p.r, j, p.m)) % p.m
     return (k, (-j) % p.s)
+
+
+def mul_idx(p: MetacyclicParams, x, y) -> np.ndarray:
+    """Products x*y of (broadcast) index arrays: :func:`mul` on indices."""
+    (i, j), (k, l) = np.divmod(x, p.s), np.divmod(y, p.s)
+    jl = j + l
+    return (i + k * p._twist[j] + p.t * (jl // p.s)) % p.m * p.s + jl % p.s
+
+
+def inv_idx(p: MetacyclicParams, x) -> np.ndarray:
+    """Inverses of an index array: :func:`inverse` with r**j = r**-(s-j)."""
+    i, j = np.divmod(x, p.s)
+    jn = -j % p.s
+    return -(i + np.where(j > 0, p.t, 0)) * p._twist[jn] % p.m * p.s + jn
+
+
+def idx_array(p: MetacyclicParams, elems: Iterable[Element]) -> np.ndarray:
+    """Sorted indices ``i*s + j`` of the given normal forms."""
+    return np.array(sorted(i * p.s + j for i, j in elems), dtype=np.int64)
+
+
+def idx_subgroup(p: MetacyclicParams, idxs, generator: Element | None = None) -> Subgroup:
+    """The Subgroup whose elements have the indices ``idxs``."""
+    return Subgroup(frozenset(divmod(int(i), p.s) for i in np.ravel(idxs)), generator=generator)
 
 
 def power(p: MetacyclicParams, x: Element, n: int) -> Element:
@@ -213,7 +241,7 @@ def element_orders(p: MetacyclicParams) -> np.ndarray:
     k = s // np.gcd(j, s)
     # The geometric sums by the binary digits of k: S(c + 2**e) = S(c) + x**c S(2**e).
     geo, x_c, block = np.zeros(s, dtype=np.int64), np.full(s, 1 % m), np.full(s, 1 % m)
-    x_e = np.array(p._rinv_pows, dtype=np.int64)
+    x_e = p._twist
     for e in range(int(k.max()).bit_length()):
         bit = (k >> e) & 1 == 1
         geo, x_c = np.where(bit, (geo + x_c * block) % m, geo), np.where(bit, x_c * x_e % m, x_c)
@@ -275,9 +303,6 @@ class Subgroup:
     def __iter__(self) -> Iterator[Element]:
         return iter(self.key)
 
-    def __le__(self, other: "Subgroup") -> bool:
-        return self.elements <= other.elements
-
 
 def trivial_subgroup(p: MetacyclicParams) -> Subgroup:
     return Subgroup(frozenset({(0, 0)}), generator=(0, 0))
@@ -328,10 +353,10 @@ def conjugate_subgroup(p: MetacyclicParams, sub: Subgroup, h: Element) -> Subgro
 class CayleyTable:
     """Dense multiplication table over element indices ``i*s + j``.
 
-    Built by vectorised modular arithmetic (independent of :func:`mul`; the
-    two are cross-checked in the test suite).  All arrays are frozen after
-    construction.  Intended for desk-scale groups; memory grows with the
-    square of the group order.
+    Built by vectorised modular arithmetic (independent of :func:`mul` and
+    :func:`mul_idx`; they are cross-checked in the test suite).  All arrays
+    are frozen after construction.  Only the oracles and the tests build it:
+    memory grows with the square of the group order.
     """
 
     def __init__(self, p: MetacyclicParams):
@@ -342,28 +367,13 @@ class CayleyTable:
         m, s, t = p.m, p.s, p.t
         iv = np.repeat(np.arange(m, dtype=np.int64), s)
         jv = np.tile(np.arange(s, dtype=np.int64), m)
-        twist = np.array(p._rinv_pows, dtype=np.int64)[jv]  # r**-j per row element
+        twist = p._twist[jv]  # r**-j per row element
         jsum = jv[:, None] + jv[None, :]
         i2 = (iv[:, None] + iv[None, :] * twist[:, None] + t * (jsum // s)) % m
         self.table = i2 * s + jsum % s
         self.inv = np.argmax(self.table == 0, axis=1)
         self.table.setflags(write=False)
         self.inv.setflags(write=False)
-
-    # -- element/index conversions ------------------------------------------
-
-    def idx(self, x: Element) -> int:
-        return x[0] * self.params.s + x[1]
-
-    def el(self, i: int) -> Element:
-        return divmod(int(i), self.params.s)
-
-    def idx_array(self, elems: Iterable[Element]) -> np.ndarray:
-        s = self.params.s
-        return np.array(sorted(i * s + j for i, j in elems), dtype=np.int64)
-
-    def subgroup(self, idxs: np.ndarray, generator: Element | None = None) -> Subgroup:
-        return Subgroup(frozenset(self.el(i) for i in np.asarray(idxs).ravel()), generator=generator)
 
     # -- cached whole-group structures ---------------------------------------
 
@@ -461,25 +471,9 @@ def cayley_table(p: MetacyclicParams) -> CayleyTable:
 
 def bruteforce_center(p: MetacyclicParams) -> Subgroup:
     """Center by scanning the full multiplication table for commuting rows."""
-    tab = cayley_table(p)
-    return tab.subgroup(tab.center_idx)
+    return idx_subgroup(p, cayley_table(p).center_idx)
 
 
 def bruteforce_derived(p: MetacyclicParams) -> Subgroup:
     """Derived subgroup: closure of the set of all n**2 commutators."""
-    tab = cayley_table(p)
-    return tab.subgroup(tab.derived_idx)
-
-
-def normalizer(p: MetacyclicParams, sub: Subgroup) -> Subgroup:
-    """N_G(sub) = {g : sub**g = sub} by scanning all group elements."""
-    tab = cayley_table(p)
-    return tab.subgroup(tab.normalizer_idx(tab.idx_array(sub.elements)))
-
-
-def commutator_span(p: MetacyclicParams, a: Subgroup, b: Subgroup) -> Subgroup:
-    """Subgroup generated by all commutators [x, y], x in a, y in b."""
-    tab = cayley_table(p)
-    return tab.subgroup(
-        tab.commutator_span_idx(tab.idx_array(a.elements), tab.idx_array(b.elements))
-    )
+    return idx_subgroup(p, cayley_table(p).derived_idx)

@@ -22,15 +22,24 @@ of cyclic subgroups whose active sum recovers G:
   what the active-sum argument needs locally.
 
 The search tries prime sets in decreasing size (then lexicographically) and
-returns the first one for which every condition holds.  Element orders
-and G' are closed forms; closure, H' and commutation are scanned in
-subgroup-sized blocks of the Cayley table.  The pi-parts of the defining
-generators always span a Hall pi-subgroup H0 (the pi-part of <a> is normal,
-and the pi-part of b covers the full pi-share of G/<a>), so candidate Hall
-subgroups are exactly the conjugates of H0, walked as its orbit under a and
-b.  Nilpotency and G' ∩ H = H' transfer along conjugation and are tested
-once; the centraliser condition for U is tested per conjugate, in ascending
-order of their sorted index rows.
+returns the first one for which every condition holds.  No Cayley table is
+built: element orders and G' are closed forms, and index rows are
+multiplied, inverted and conjugated by ``core.mul_idx``/``core.inv_idx``.
+The pi-parts alpha = pi(a), beta = pi(b) of the defining generators span a
+Hall pi-subgroup H0 (the pi-part of <a> is normal, and the pi-part of b
+covers the pi-share of G/<a>), so the candidate Hall subgroups are the
+conjugates of H0, walked as its orbit under a and b.  Nilpotency and
+G' ∩ H = H' transfer along conjugation and are tested once; U = <u>
+centralising a conjugate (u commutes with its row) is tested per conjugate,
+in ascending order of the sorted index rows.  No subgroup is closed:
+
+* N and the Sylow sets are counted.  G is solvable, so (P. Hall) its
+  pi'-elements are the union of its Hall pi'-subgroups, and the q-elements
+  of H the union of its Sylow q-subgroups; a count equal to that subgroup
+  order leaves only the one subgroup, which is then normal.
+* H0' = <[alpha, beta]>: <alpha> lies in the cyclic normal <a>, so its
+  subgroup <[alpha, beta]> is characteristic there and normal in H0, and
+  H0 modulo it is generated by two commuting images.
 
 The family is the conjugacy closure of the nontrivial seeds
 {V, U, <alpha_q>, <beta_q>}: closing under all of G automatically adds the
@@ -47,16 +56,19 @@ from itertools import combinations
 import numpy as np
 
 from .core import (
-    CayleyTable,
     Element,
     MetacyclicParams,
     Subgroup,
-    cayley_table,
+    commutator,
     conjugate,
     cyclic_subgroup,
     element_log,
     element_orders,
     generate_subgroup,
+    idx_array,
+    idx_subgroup,
+    inv_idx,
+    mul_idx,
     power,
     trivial_subgroup,
 )
@@ -153,53 +165,39 @@ class HallDecomposition:
     sylow_factorizations: tuple[SylowFactorization, ...]
 
 
-def _closed_under_product(tab: CayleyTable, idx: np.ndarray) -> bool:
-    mask = np.zeros(tab.n, dtype=bool)
-    mask[idx] = True
-    return bool(mask[tab.table[np.ix_(idx, idx)]].all())
-
-
-def _sylow_split(tab: CayleyTable, h_idx: np.ndarray) -> list[tuple[int, np.ndarray]] | None:
-    """Per-prime subgroups of q-power-order elements, or None if some set
-    fails to be a subgroup of full Sylow size (i.e. the group is not nilpotent)."""
+def _sylow_split(p: MetacyclicParams, h_idx: np.ndarray) -> list[tuple[int, np.ndarray]] | None:
+    """Per-prime Sylow subgroups of H as counted sets of q-power-order
+    elements; None if a count differs from |H|_q (H is not nilpotent)."""
     size = h_idx.size
-    ords = element_orders(tab.params)[h_idx]
+    ords = element_orders(p)[h_idx]
     out: list[tuple[int, np.ndarray]] = []
     for q in prime_factors(size):
         q_part, _ = _split_by_primes(size, (q,))
         sel = h_idx[q_part % ords == 0]
-        if sel.size != q_part or not _closed_under_product(tab, sel):
+        if sel.size != q_part:
             return None
         out.append((q, sel))
     return out
 
 
-def _factor_sylow(
-    p: MetacyclicParams, tab: CayleyTable, prime: int, sylow_idx: np.ndarray
-) -> SylowFactorization:
+def _factor_sylow(p: MetacyclicParams, prime: int, sylow_idx: np.ndarray) -> SylowFactorization:
     """Find cyclic <alpha> normal and <beta> with product the whole Sylow
     subgroup and the local divisibility condition; deterministic search order
     (alpha by decreasing order then normal form, beta by normal form)."""
     size = int(sylow_idx.size)
     ords = element_orders(p)[sylow_idx]
-    elems = [tab.el(i) for i in sylow_idx]  # ascending normal-form order
+    elems = [divmod(int(i), p.s) for i in sylow_idx]  # ascending normal-form order
     if int(ords.max()) == size:
         gen = elems[int(np.argmax(ords == size))]
-        sylow = Subgroup(frozenset(elems), generator=gen)
-        return SylowFactorization(
-            prime=prime,
-            sylow=sylow,
-            normal_part=trivial_subgroup(p),
-            complement_part=cyclic_subgroup(p, gen),
-            twist_exponent=1,
-            tail_exponent=0,
-        )
+        sylow = Subgroup(frozenset(elems), generator=gen)  # cyclic: <alpha> trivial
+        return SylowFactorization(prime, sylow, trivial_subgroup(p), cyclic_subgroup(p, gen), 1, 0)
     sylow = Subgroup(frozenset(elems))
     order_of = {g: int(o) for g, o in zip(elems, ords)}
+    syl_inv = inv_idx(p, sylow_idx)
     for alpha in sorted(elems, key=lambda g: (-order_of[g], g)):
         part_a = cyclic_subgroup(p, alpha)
-        a_idx = tab.idx_array(part_a.elements)
-        if not np.isin(tab.conjugates(sylow_idx, a_idx), a_idx).all():
+        alpha_conj = mul_idx(p, mul_idx(p, syl_inv, alpha[0] * p.s + alpha[1]), sylow_idx)
+        if not np.isin(alpha_conj, idx_array(p, part_a.elements)).all():
             continue  # <alpha> not normal in the Sylow subgroup
         for beta in elems:
             part_b = cyclic_subgroup(p, beta)
@@ -224,35 +222,36 @@ def _factor_sylow(
     )
 
 
-def _conjugate_rows(tab: CayleyTable, sub_idx: np.ndarray) -> np.ndarray:
+def _conjugate_rows(p: MetacyclicParams, sub_idx: np.ndarray) -> np.ndarray:
     """Sorted index rows of the G-conjugates of a subgroup, ascending, from a
     walk over its orbit under the defining generators."""
-    gens = [tab.idx(g) for g in defining_generators(tab.params)]
+    gens = np.array([[i * p.s + j] for i, j in defining_generators(p)])
+    gens_inv = inv_idx(p, gens)
     seen, frontier = {tuple(sub_idx.tolist())}, [sub_idx]
     while frontier:
-        for row in np.sort(tab.conjugates(gens, frontier.pop()), axis=1):
+        conj = mul_idx(p, mul_idx(p, gens_inv, frontier.pop()), gens)
+        for row in np.sort(conj, axis=1):
             if (key := tuple(row.tolist())) not in seen:
                 seen.add(key)
                 frontier.append(row)
     return np.array(sorted(seen), dtype=np.int64)
 
 
-def _try_prime_set(
-    p: MetacyclicParams, tab: CayleyTable, primes: tuple[int, ...]
-) -> HallDecomposition | None:
+def _try_prime_set(p: MetacyclicParams, primes: tuple[int, ...]) -> HallDecomposition | None:
     _, n_target = _split_by_primes(p.order, primes)
     pi_prod = math.prod(primes)
     n_idx = np.nonzero(np.gcd(element_orders(p), pi_prod) == 1)[0]
-    if n_idx.size != n_target or not _closed_under_product(tab, n_idx):
+    if n_idx.size != n_target:
         return None  # the pi'-elements do not form a Hall subgroup
     a, b = defining_generators(p)
-    h0 = generate_subgroup(p, [pi_part(p, a, primes), pi_part(p, b, primes)])
+    alpha, beta = pi_part(p, a, primes), pi_part(p, b, primes)
+    h0 = generate_subgroup(p, [alpha, beta])
     if h0.order * n_target != p.order:
         raise InternalCheckError(
             "pi-parts of the defining generators must span a Hall subgroup"
         )
-    h0_idx = tab.idx_array(h0.elements)
-    if _sylow_split(tab, h0_idx) is None:
+    h0_idx = idx_array(p, h0.elements)
+    if _sylow_split(p, h0_idx) is None:
         return None  # Hall subgroup not nilpotent; conjugates are isomorphic
 
     zeta = _split_by_primes(p.m, primes)[1]
@@ -266,32 +265,25 @@ def _try_prime_set(
         return None  # N does not split as V x| U
     if math.gcd(p.r - 1, kernel_part.order) != 1:
         return None
-    derived = tab.idx_array(derived_closed_form(p).elements)
-    if not np.array_equal(
-        np.intersect1d(derived, n_idx), tab.idx_array(kernel_part.elements)
-    ):
+    derived = idx_array(p, derived_closed_form(p).elements)
+    if not np.array_equal(np.intersect1d(derived, n_idx), idx_array(p, kernel_part.elements)):
         return None  # G' ∩ N != V
-    if not np.array_equal(
-        np.intersect1d(derived, h0_idx), tab.commutator_span_idx(h0_idx, h0_idx)
-    ):
+    h0_derived = cyclic_subgroup(p, commutator(p, alpha, beta)).elements
+    if not np.array_equal(np.intersect1d(derived, h0_idx), idx_array(p, h0_derived)):
         return None  # G' ∩ H != H' (conjugation-invariant, so checked once)
 
-    u_idx = tab.idx_array(top_part.elements)
-    for row in _conjugate_rows(tab, h0_idx):
-        if tab.commute(u_idx, row):
+    u_idx = u[0] * p.s + u[1]
+    for row in _conjugate_rows(p, h0_idx):
+        if np.array_equal(mul_idx(p, u_idx, row), mul_idx(p, row, u_idx)):
             hall_idx = row
             break
     else:
         return None  # U centralises no Hall pi-subgroup
-    hall = tab.subgroup(hall_idx)
-    split = _sylow_split(tab, hall_idx)
+    split = _sylow_split(p, hall_idx)
     if split is None:
         raise InternalCheckError("nilpotency must be conjugation invariant")
 
-    if kernel_part.is_trivial:
-        eta = 1
-    else:
-        eta = element_log(p, v, conjugate(p, v, u))
+    eta = 1 if kernel_part.is_trivial else element_log(p, v, conjugate(p, v, u))
     if pow(eta, top_part.order, kernel_part.order) != 1 % kernel_part.order:
         raise InternalCheckError(
             "the conjugation exponent of U on V must have order dividing |U|"
@@ -300,14 +292,12 @@ def _try_prime_set(
     return HallDecomposition(
         params=p,
         primes=primes,
-        hall_subgroup=hall,
-        normal_complement=tab.subgroup(n_idx),
+        hall_subgroup=idx_subgroup(p, hall_idx),
+        normal_complement=idx_subgroup(p, n_idx),
         kernel_part=kernel_part,
         top_part=top_part,
         twist_exponent=eta,
-        sylow_factorizations=tuple(
-            _factor_sylow(p, tab, q, q_idx) for q, q_idx in split
-        ),
+        sylow_factorizations=tuple(_factor_sylow(p, q, q_idx) for q, q_idx in split),
     )
 
 
@@ -317,11 +307,10 @@ def hall_decomposition(p: MetacyclicParams) -> HallDecomposition:
     if p.order == 1:
         triv = trivial_subgroup(p)
         return HallDecomposition(p, (), triv, triv, triv, triv, 1, ())
-    tab = cayley_table(p)
     primes = prime_factors(p.order)
     for size in range(len(primes), 0, -1):
         for subset in combinations(primes, size):
-            found = _try_prime_set(p, tab, subset)
+            found = _try_prime_set(p, subset)
             if found is not None:
                 return found
     raise SearchFailed(f"no prime set yields a usable Hall decomposition for {p}")

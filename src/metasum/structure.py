@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,8 +77,9 @@ def center_closed_form(p: MetacyclicParams) -> Subgroup:
     return generate_subgroup(p, [(k % p.m, 0), (0, s_prime % p.s)])
 
 
+@lru_cache(maxsize=64)
 def derived_closed_form(p: MetacyclicParams) -> Subgroup:
-    """G' = <a**(r-1)> materialised as an element set."""
+    """G' = <a**(r-1)> materialised as an element set; cached per p."""
     return generate_subgroup(p, [((p.r - 1) % p.m, 0)])
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from metasum.active_sum import (
     DEFAULT_COSET_FACTOR,
+    _free_reduce_signed,
     FpPresentation,
     PresentationGenerator,
     abelianized_order,
@@ -24,7 +25,14 @@ from metasum.active_sum import (
     todd_coxeter,
     verdict,
 )
-from metasum.core import Subgroup, cyclic_subgroup, validate
+from metasum.core import (
+    Subgroup,
+    conjugate,
+    conjugate_subgroup,
+    cyclic_subgroup,
+    element_log,
+    validate,
+)
 from metasum.coset import todd_coxeter as enumerate_cosets
 from metasum.errors import CosetLimitExceeded, InternalCheckError
 from metasum.families import (
@@ -36,6 +44,40 @@ from metasum.families import (
 )
 from metasum.hall import build_hall_family
 from metasum.lattice import IntMatrix, abelian_quotient
+
+
+def _presentation_by_subgroup_lookup(p, family) -> FpPresentation:
+    """Generator-level presentation whose relator targets are found by
+    conjugating the whole member and looking its element set up."""
+    members = family.subgroups
+    index_of = {pair: i for i, pair in enumerate(family.indexed_members())}
+    relators = [(i + 1,) * sub.order for i, sub in enumerate(members)]
+    for i1, f1 in enumerate(members):
+        for i2, f2 in enumerate(members):
+            h = f1.generator
+            target = index_of[(conjugate_subgroup(p, f2, h), family.components[i2])]
+            e = element_log(p, members[target].generator, conjugate(p, f2.generator, h))
+            word = _free_reduce_signed([-(i1 + 1), i2 + 1, i1 + 1] + [-(target + 1)] * e)
+            if word:
+                relators.append(word)
+    gens = tuple(
+        PresentationGenerator(symbol=f"x{i}", order=sub.order, element=sub.generator)
+        for i, sub in enumerate(members)
+    )
+    return FpPresentation(generators=gens, relators=tuple(relators))
+
+
+class TestTargetLookup:
+    def test_matches_whole_member_conjugation_up_to_order_32(self, pool_48):
+        checked = 0
+        for p in pool_48:
+            if p.order > 32:
+                continue
+            for family in (build_generator_family(p), build_hall_family(p).family):
+                expected = _presentation_by_subgroup_lookup(p, family).dump()
+                assert build_active_sum_presentation(p, family).dump() == expected, p
+                checked += 1
+        assert checked == 2 * sum(1 for p in pool_48 if p.order <= 32)
 
 
 class TestPresentationShape:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -26,6 +27,7 @@ from metasum.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     SCAN_COLUMNS,
+    build_family,
     build_parser,
     canonical_json,
     compute_scan_row,
@@ -33,6 +35,7 @@ from metasum.cli import (
     pool_size,
     resolve_family_mode,
     valid_tuples,
+    verdict_payload,
 )
 from metasum.core import validate
 
@@ -183,16 +186,50 @@ class TestVerify:
         ],
     )
     def test_memory_error_exits_resource_in_one_line(self, monkeypatch, capsys, exc, message):
-        """A table allocation the machine refuses is exit 2, not a traceback."""
+        """A table allocation the machine refuses is exit 2, not a traceback.
+        The oracle's brute-force routes are the ones that still build it."""
 
         def refuse(self, p):
             raise exc
 
         monkeypatch.setattr(core.CayleyTable, "__init__", refuse)
         core._cached_table.cache_clear()
-        code = main(["verify", "-m", "7", "-s", "3", "-t", "0", "-r", "2"])
+        code = main(["oracle", "-m", "7", "-s", "3", "-t", "0", "-r", "2"])
         assert code == EXIT_RESOURCE
         assert capsys.readouterr().err == f"resource limit: {message}\n"
+
+
+class TestTableFreeVerdicts:
+    def test_no_verdict_builds_a_cayley_table(self, pool_48, monkeypatch):
+        def refuse(self, p):
+            raise AssertionError(f"Cayley table built for {p}")
+
+        monkeypatch.setattr(core.CayleyTable, "__init__", refuse)
+        core._cached_table.cache_clear()
+        for p in pool_48:
+            for mode in ("auto", "hall", "theorem3"):
+                resolved = resolve_family_mode(p, mode)
+                payload, _ = verdict_payload(p, resolved, build_family(p, resolved))
+                assert payload["isomorphic"] or resolved == "theorem3"
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["-m", "10000", "-s", "1", "-t", "0", "-r", "1"],
+         ["-m", "3000", "-s", "1", "-t", "0", "-r", "1", "--family", "hall"]],
+    )
+    def test_large_order_verify_fits_in_one_gib(self, extra):
+        """Memory grows with |G|, not |G|**2: a dense order-10,000 table
+        alone would need 763 MiB."""
+        limit = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "metasum.cli", "verify", *extra],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.endswith("isomorphic: true\n")
 
 
 class TestScan:

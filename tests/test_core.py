@@ -7,10 +7,13 @@ themselves checked against hand calculations here) and then frozen.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.ntheory import n_order
 
 from metasum.core import (
     CayleyTable,
@@ -19,7 +22,6 @@ from metasum.core import (
     bruteforce_derived,
     cayley_table,
     commutator,
-    commutator_span,
     conjugate,
     conjugate_subgroup,
     cyclic_subgroup,
@@ -30,9 +32,12 @@ from metasum.core import (
     enumerate_elements,
     generate_subgroup,
     identity,
+    idx_array,
+    idx_subgroup,
+    inv_idx,
     inverse,
     mul,
-    normalizer,
+    mul_idx,
     power,
     trivial_subgroup,
     validate,
@@ -222,12 +227,6 @@ class TestSubgroups:
         moved = conjugate_subgroup(s3, sub_b, (1, 0))
         assert sorted(moved.elements) == [(0, 0), (1, 1)]
 
-    def test_subgroup_ordering_by_inclusion(self, s3):
-        small = cyclic_subgroup(s3, (1, 0))
-        big = generate_subgroup(s3, [(1, 0), (0, 1)])
-        assert small <= big
-        assert not (big <= small)
-
 
 class TestBruteforceStructure:
     def test_center_frozen(self, s3, q8):
@@ -241,14 +240,17 @@ class TestBruteforceStructure:
     def test_normalizer_frozen(self, s3):
         rot = cyclic_subgroup(s3, (1, 0))
         refl = cyclic_subgroup(s3, (0, 1))
-        assert normalizer(s3, rot).order == 6  # normal subgroup
-        assert sorted(normalizer(s3, refl).elements) == [(0, 0), (0, 1)]
+        tab = cayley_table(s3)
+        assert tab.normalizer_idx(idx_array(s3, rot.elements)).size == 6  # normal subgroup
+        assert tab.normalizer_idx(idx_array(s3, refl.elements)).tolist() == [0, 1]
 
     def test_commutator_span_frozen(self, s3):
         rot = cyclic_subgroup(s3, (1, 0))
         refl = cyclic_subgroup(s3, (0, 1))
-        span = commutator_span(s3, rot, refl)
-        assert sorted(span.elements) == [(0, 0), (1, 0), (2, 0)]
+        span = cayley_table(s3).commutator_span_idx(
+            idx_array(s3, rot.elements), idx_array(s3, refl.elements)
+        )
+        assert sorted(idx_subgroup(s3, span).elements) == [(0, 0), (1, 0), (2, 0)]
 
 
 class TestCayleyTable:
@@ -257,24 +259,24 @@ class TestCayleyTable:
         els = enumerate_elements(q12)
         for i, x in enumerate(els):
             for j, y in enumerate(els):
-                assert tab.el(tab.table[i, j]) == mul(q12, x, y)
+                assert divmod(int(tab.table[i, j]), q12.s) == mul(q12, x, y)
 
     def test_orders_column_matches_element_order(self, q12):
         tab = cayley_table(q12)
         for i in range(tab.n):
-            assert tab.orders[i] == element_order(q12, tab.el(i))
+            assert tab.orders[i] == element_order(q12, divmod(i, q12.s))
 
     def test_center_and_derived_indices(self, q8):
         tab = cayley_table(q8)
-        center = {tab.el(i) for i in tab.center_idx}
-        derived = {tab.el(i) for i in tab.derived_idx}
+        center = idx_subgroup(q8, tab.center_idx).elements
+        derived = idx_subgroup(q8, tab.derived_idx).elements
         assert center == {(0, 0), (2, 0)}
         assert derived == {(0, 0), (2, 0)}
 
     def test_conjugation_table(self, s3):
         tab = cayley_table(s3)
-        i_a, i_b = tab.idx((1, 0)), tab.idx((0, 1))
-        assert tab.el(tab.conj[i_b, i_a]) == conjugate(s3, (1, 0), (0, 1))
+        i_a, i_b = s3.s, 1  # a = (1, 0) and b = (0, 1) as indices i*s + j
+        assert divmod(int(tab.conj[i_b, i_a]), s3.s) == conjugate(s3, (1, 0), (0, 1))
 
     def test_conjugation_block_matches_whole_table(self, q12):
         tab = cayley_table(q12)
@@ -291,8 +293,58 @@ class TestCayleyTable:
             assert element_orders(p) is orders  # cached per p
 
     def test_identity_index_is_zero(self, s3):
-        tab = cayley_table(s3)
-        assert tab.el(0) == (0, 0)
+        assert idx_array(s3, [(0, 0)]).tolist() == [0]
+        assert cayley_table(s3).inv[0] == 0
+
+
+class TestIndexArithmetic:
+    def test_matches_table_to_order_60(self, pool_100):
+        small = [p for p in pool_100 if p.order <= 60]
+        assert any(p.s == 1 for p in small) and any(p.m == 1 for p in small)
+        for p in small:
+            tab, every = cayley_table(p), np.arange(p.order)
+            assert np.array_equal(mul_idx(p, every[:, None], every[None, :]), tab.table), p
+            assert np.array_equal(inv_idx(p, every), tab.inv), p
+
+    def test_index_helpers_round_trip(self, q12):
+        rot = cyclic_subgroup(q12, (1, 0))
+        idxs = idx_array(q12, rot.elements)
+        assert idxs.tolist() == [0, 2, 4, 6, 8, 10]
+        assert idx_subgroup(q12, idxs) == rot
+        assert idx_array(q12, []).dtype == np.int64
+
+
+@st.composite
+def large_params_and_indices(draw):
+    """Valid (m, s, t, r) of order up to 10**6 and a few element indices."""
+    m = draw(st.integers(1, 10**6))
+    s = draw(st.integers(1, 10**6 // m))
+    c = draw(st.integers(1, m))
+    while math.gcd(c, m) != 1:
+        c -= 1
+    o = n_order(c, m) if m > 1 else 1
+    r = pow(c, o // math.gcd(o, s), m)  # its order divides s
+    step = m // math.gcd(m, r - 1)
+    t = draw(st.integers(0, m - 1)) // step * step
+    p = validate(m, s, t, r)
+    xs = draw(st.lists(st.integers(0, p.order - 1), min_size=1, max_size=8))
+    return p, np.array(xs, dtype=np.int64)
+
+
+class TestIndexArithmeticLarge:
+    @settings(max_examples=60, deadline=None)
+    @given(large_params_and_indices())
+    @example((validate(999_983, 1, 0, 1), np.array([0, 1, 999_982])))
+    @example((validate(1, 10**6, 0, 1), np.array([0, 1, 999_999])))
+    @example((validate(1000, 1000, 500, 1), np.array([0, 999, 123_456, 999_999])))
+    def test_matches_mul_and_inverse(self, data):
+        p, xs = data
+        els = [divmod(int(x), p.s) for x in xs]
+        prods = mul_idx(p, xs[:, None], xs[None, :])
+        for a, x in enumerate(els):
+            assert divmod(int(inv_idx(p, xs)[a]), p.s) == inverse(p, x)
+            for b, y in enumerate(els):
+                assert divmod(int(prods[a, b]), p.s) == mul(p, x, y)
 
 
 @st.composite

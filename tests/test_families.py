@@ -19,10 +19,15 @@ from hypothesis import strategies as st
 from metasum import families
 from metasum.cli import verdict_payload
 from metasum.core import (
+    Subgroup,
+    bruteforce_derived,
+    cayley_table,
     conjugate,
     conjugate_subgroup,
     cyclic_subgroup,
     enumerate_elements,
+    idx_array,
+    idx_subgroup,
     power,
     validate,
 )
@@ -30,6 +35,7 @@ from metasum.errors import ConditionFails, InternalCheckError
 from metasum.families import (
     ConjugationWitness,
     Family,
+    RegularityCheck,
     abelianization_rows,
     abelianized_group,
     build_generator_family,
@@ -44,6 +50,8 @@ from metasum.families import (
     transversal,
     xgcd,
 )
+from metasum.hall import build_hall_family
+from metasum.structure import derived_closed_form
 
 
 class TestDefiningGenerators:
@@ -209,6 +217,45 @@ class TestRegularity:
         # N(<b>) = <b> in S3, so [F, N(F)] is trivial, as is F ∩ G'.
         assert refl.commutator_side.order == 1
         assert refl.intersection_side == frozenset({(0, 0)})
+
+
+def _table_regularity(p, family) -> tuple[RegularityCheck, ...]:
+    """Both sides of the regularity check from whole-table scans: N_G(F) and
+    [F, N_G(F)] over the Cayley table, G' as the closure of all commutators."""
+    tab = cayley_table(p)
+    derived = bruteforce_derived(p).elements
+    checks = []
+    for rep in transversal(p, family).representatives:
+        members = idx_array(p, rep.elements)
+        span = tab.commutator_span_idx(members, tab.normalizer_idx(members))
+        checks.append(RegularityCheck(rep, idx_subgroup(p, span), rep.elements & derived))
+    return tuple(checks)
+
+
+class TestClosedFormRegularity:
+    def test_matches_table_route_to_order_60(self, pool_100):
+        irregular = 0
+        for p in pool_100:
+            if p.order > 60:
+                continue
+            for family in (build_generator_family(p), build_hall_family(p).family):
+                report = is_regular(p, family)
+                assert report.checks == _table_regularity(p, family), p
+                irregular += not report.regular
+        assert irregular == 0  # every family of either mode is regular
+
+    def test_member_without_generator(self, s3):
+        rotations = Subgroup(cyclic_subgroup(s3, (1, 0)).elements)
+        family = Family(params=s3, subgroups=(rotations,), components=(0,))
+        with pytest.raises(InternalCheckError):
+            is_regular(s3, family)
+
+
+class TestPerGroupCaches:
+    def test_second_call_returns_the_same_object(self, s3, q12, negative_control):
+        for p in (s3, q12, negative_control):
+            assert derived_closed_form(p) is derived_closed_form(p)
+            assert abelianized_group(p) is abelianized_group(p)
 
 
 class TestAbelianization:

@@ -18,11 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metasum.core import (
+    CayleyTable,
     cayley_table,
+    commutator,
     conjugate_subgroup,
+    cyclic_subgroup,
     element_order,
     enumerate_elements,
     generate_subgroup,
+    idx_array,
     mul,
     validate,
 )
@@ -37,6 +41,8 @@ from metasum.families import (
 from metasum.hall import (
     HallDecomposition,
     _conjugate_rows,
+    _split_by_primes,
+    _sylow_split,
     build_hall_family,
     hall_decomposition,
     pi_complement_part,
@@ -99,11 +105,60 @@ class TestConjugateRows:
             for size in range(1, len(primes) + 1):
                 for subset in combinations(primes, size):
                     h0 = generate_subgroup(p, [pi_part(p, a, subset), pi_part(p, b, subset)])
-                    h0_idx = tab.idx_array(h0.elements)
+                    h0_idx = idx_array(p, h0.elements)
                     expected = np.unique(np.sort(tab.conj[:, h0_idx], axis=1), axis=0)
-                    assert np.array_equal(_conjugate_rows(tab, h0_idx), expected), (p, subset)
+                    assert np.array_equal(_conjugate_rows(p, h0_idx), expected), (p, subset)
                     checked += 1
         assert checked > 1000
+
+
+def _closed_under_product(tab: CayleyTable, idx: np.ndarray) -> bool:
+    """Whole-block closure test the Hall search used before it counted."""
+    mask = np.zeros(tab.n, dtype=bool)
+    mask[idx] = True
+    return bool(mask[tab.table[np.ix_(idx, idx)]].all())
+
+
+def _hall_prime_sets(limit: int, pool):
+    """(p, prime set, H0 = <pi(a), pi(b)>) for every prime set of every tuple."""
+    for p in pool:
+        if p.order > limit:
+            continue
+        a, b = defining_generators(p)
+        primes = prime_factors(p.order)
+        for size in range(1, len(primes) + 1):
+            for subset in combinations(primes, size):
+                alpha, beta = pi_part(p, a, subset), pi_part(p, b, subset)
+                yield p, subset, alpha, beta, generate_subgroup(p, [alpha, beta])
+
+
+class TestTableFreeSubgroupTests:
+    def test_h0_derived_is_one_commutator_to_order_60(self, pool_100):
+        """<[pi(a), pi(b)]> is the commutator span of H0 with itself."""
+        checked = 0
+        for p, subset, alpha, beta, h0 in _hall_prime_sets(60, pool_100):
+            tab = cayley_table(p)
+            h0_idx = idx_array(p, h0.elements)
+            expected = tab.commutator_span_idx(h0_idx, h0_idx)
+            got = idx_array(p, cyclic_subgroup(p, commutator(p, alpha, beta)).elements)
+            assert np.array_equal(got, expected), (p, subset)
+            checked += 1
+        assert checked > 10000
+
+    def test_counted_sets_are_subgroups_to_order_60(self, pool_100):
+        """A pi'-element set or a Sylow set of the right size is closed."""
+        counted = 0
+        for p, subset, _, _, h0 in _hall_prime_sets(60, pool_100):
+            tab = cayley_table(p)
+            _, n_target = _split_by_primes(p.order, subset)
+            n_idx = np.nonzero(np.gcd(tab.orders, math.prod(subset)) == 1)[0]
+            if n_idx.size == n_target:
+                assert _closed_under_product(tab, n_idx), (p, subset)
+                counted += 1
+            for _, sel in _sylow_split(p, idx_array(p, h0.elements)) or ():
+                assert _closed_under_product(tab, sel), (p, subset)
+                counted += 1
+        assert counted > 20000
 
 
 class TestDecompositionFrozen:
@@ -176,8 +231,8 @@ class TestDecompositionInvariants:
     def test_kernel_and_top_parts_sit_in_complement(self, pool_48):
         for p in pool_48[::13]:
             d = hall_decomposition(p)
-            assert d.kernel_part <= d.normal_complement
-            assert d.top_part <= d.normal_complement
+            assert d.kernel_part.elements <= d.normal_complement.elements
+            assert d.top_part.elements <= d.normal_complement.elements
 
     def test_twist_gcd_conditions_inside_sylow(self, pool_48):
         for p in pool_48[::13]:
