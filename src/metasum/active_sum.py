@@ -25,10 +25,19 @@ Generator-level relators suffice; the elementwise relators follow:
   extends this to every power h**k.  Since every element of the cyclic F1 is
   a power of h, all pairs (h', g') are covered.
 
-The exhaustive mode emits the relator of every element pair directly (each
-element written as a power of its member's generator) and exists solely as a
-correctness oracle for the reduction above; both presentations must
-enumerate to the same order.
+The verdict keeps only the conjugation relators whose acting member F1 lies
+in A = ``Family.acting``: one representative per component, extended in
+canonical order until <g_R : R in A> = G — |A| * |family| relators instead of
+|family|**2, every power relator kept (a Tietze transformation; Holt, Eick
+and O'Brien, *Handbook of Computational Group Theory*, 2005).  The dropped
+relators follow.  The kept ones make conjugation by each x_R (R in A) send
+every symbol power x_F**k to the symbol power of g_F**k conjugated by g_R
+(the first point above), a permutation of the symbol powers.  Since
+<g_A> = G, a member F1 = R**h of the component of R in A has h equal to a
+word w in g_A, so x_F1 = (w**-1 x_R w)**f with f invertible mod |F1|.
+Conjugation by x_F1 therefore acts as g_F1 does, which is every dropped
+relator.  A family that does not generate G has every member acting: the
+full presentation, which ``present`` always prints.
 
 ``abelianized_order`` computes ab(S) from the sparse exponent-sum rows of
 the relators with ``lattice.abelian_quotient_mod``, working modulo N, the lcm
@@ -55,7 +64,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Element, MetacyclicParams, conjugate, element_log, mul, power
+from .core import Element, MetacyclicParams, conjugate, element_log, mul
 from .coset import todd_coxeter as _enumerate_raw
 from .errors import CosetLimitExceeded, InternalCheckError, NotAPower
 from .families import (
@@ -142,52 +151,44 @@ def _conjugation_relator(
     family: Family,
     i1: int,
     i2: int,
-    h_exp: int,
-    g_exp: int,
 ) -> tuple[int, ...]:
-    """Relator of the pair (h, g) = (g_F1**h_exp, g_F2**g_exp).
+    """Relator of the pair (h, g) = (g_F1, g_F2).
 
     Expresses g**h inside the family member F2**h, found as the member of
-    F2's component that has g_F2**h as a generator:  the relator says
-    x1**-h_exp x2**g_exp x1**h_exp equals the image written in the symbol of
-    F2**h.  Conjugation acts within F2's own component, which disambiguates
+    F2's component that has g**h as a generator:  the relator says
+    x1**-1 x2 x1 equals the image written in the symbol of F2**h.
+    Conjugation acts within F2's own component, which disambiguates
     coincident members from different components.  Raises InternalCheckError
     if the image misses the target's cyclic generator — impossible for a
     valid family, so it signals a bug.
     """
     members = family.subgroups
-    h = power(p, members[i1].generator, h_exp)
-    gen_h = conjugate(p, members[i2].generator, h)
+    h = members[i1].generator
+    image = conjugate(p, members[i2].generator, h)
     try:
-        i_target = member_of[(family.components[i2], gen_h)]
+        i_target = member_of[(family.components[i2], image)]
     except KeyError:
         raise InternalCheckError("family is not conjugation closed") from None
-    image = power(p, gen_h, g_exp)  # (g_F2**g_exp)**h
     try:
         e = element_log(p, members[i_target].generator, image)
     except NotAPower as exc:
         raise InternalCheckError(
-            f"conjugate {image} of g_F2**{g_exp} by {h} is not a power of the "
+            f"conjugate {image} of g_F2 by {h} is not a power of the "
             f"generator of the target member {members[i_target].key}"
         ) from exc
-    word = (
-        [-(i1 + 1)] * h_exp
-        + [i2 + 1] * g_exp
-        + [i1 + 1] * h_exp
-        + [-(i_target + 1)] * e
-    )
-    return _free_reduce_signed(word)
+    return _free_reduce_signed([-(i1 + 1), i2 + 1, i1 + 1] + [-(i_target + 1)] * e)
 
 
 def build_active_sum_presentation(
-    p: MetacyclicParams, family: Family, exhaustive: bool = False
+    p: MetacyclicParams, family: Family, acting: Iterable[int] | None = None
 ) -> FpPresentation:
     """Present the active sum of a conjugation-closed family of cyclic subgroups.
 
-    Default mode emits one conjugation relator per ordered member pair (the
-    generator-level relators); ``exhaustive=True`` emits one per element pair
-    instead, as an oracle.  Member order (and hence generator numbering) is
-    the family's canonical order, so output is reproducible byte for byte.
+    One conjugation relator per ordered member pair (F1, F2) with F1 among
+    the ``acting`` member indices, every member when None (the module
+    docstring shows which subsets present the same group).  Member order
+    (and hence generator numbering) is the family's canonical order, so
+    output is reproducible byte for byte.
     """
     members = family.subgroups
     for sub in members:
@@ -203,20 +204,11 @@ def build_active_sum_presentation(
     relators: list[tuple[int, ...]] = [
         (i + 1,) * sub.order for i, sub in enumerate(members)
     ]
-    for i1 in range(len(members)):
+    for i1 in range(len(members)) if acting is None else acting:
         for i2 in range(len(members)):
-            if exhaustive:
-                pairs = (
-                    (h_exp, g_exp)
-                    for h_exp in range(members[i1].order)
-                    for g_exp in range(members[i2].order)
-                )
-            else:
-                pairs = ((1, 1),)
-            for h_exp, g_exp in pairs:
-                word = _conjugation_relator(p, member_of, family, i1, i2, h_exp, g_exp)
-                if word:
-                    relators.append(word)
+            word = _conjugation_relator(p, member_of, family, i1, i2)
+            if word:
+                relators.append(word)
     return FpPresentation(generators=gens, relators=tuple(relators))
 
 
@@ -306,7 +298,7 @@ def verdict(p: MetacyclicParams, family: Family, max_cosets: int | None = None) 
     regular = is_regular(p, family).regular
     independent = is_independent(p, family).independent
     ganea = ganea_check(p).surjective
-    pres = build_active_sum_presentation(p, family)
+    pres = build_active_sum_presentation(p, family, family.acting[0])
     ab_s = abelianized_order(pres).order
     ab_g = abelianized_group(p).structure.order
     if ab_g is None:

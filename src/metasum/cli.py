@@ -593,11 +593,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (CapExceeded, CosetLimitExceeded, OverflowDetected, MemoryError) as exc:
-        print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_RESOURCE
+        # Printed after the handler: leaving it frees the traceback and the
+        # frames it holds, which may be what exhausted the memory.
+        message = str(exc) or "out of memory"
     except (InternalCheckError, SearchFailed) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    print(f"resource limit: {message}", file=sys.stderr)
+    return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -261,15 +261,16 @@ def enumerate_elements(p: MetacyclicParams) -> list[Element]:
 def element_log(p: MetacyclicParams, base: Element, target: Element) -> int:
     """Least e >= 0 with base**e == target, or NotAPower.
 
-    Walks the cyclic group generated by ``base``; cost is bounded by the
-    order of ``base``, which is tiny for every use in this package.
+    Walks the cyclic group generated by ``base`` once, stopping at the
+    target or, when it returns to the identity first, raising; cost is
+    bounded by the order of ``base``.
     """
-    cur = (0, 0)
-    for e in range(element_order(p, base)):
-        if cur == target:
-            return e
-        cur = mul(p, cur, base)
-    raise NotAPower(f"{target} is not a power of {base}")
+    cur, e = (0, 0), 0
+    while cur != target:
+        cur, e = mul(p, cur, base), e + 1
+        if cur == (0, 0):
+            raise NotAPower(f"{target} is not a power of {base}")
+    return e
 
 
 @dataclass(frozen=True)

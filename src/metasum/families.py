@@ -132,6 +132,29 @@ class Family:
             orbit_sizes=tuple(size for _, size, _ in orbits),
         )
 
+    @cached_property
+    def acting(self) -> tuple[tuple[int, ...], bool]:
+        """(acting member indices, whether the family generates G), one walk.
+
+        The first member of each component (its transversal representative)
+        acts; while their generators span less than G, each further member
+        whose generator lies outside the span acts too, in canonical order.
+        A family that still falls short has every member acting.
+        """
+        gens = [[s.generator] if s.generator is not None else s.key for s in self.subgroups]
+        first: dict[int, int] = {}
+        for i, comp in enumerate(self.components):
+            first.setdefault(comp, i)
+        acting = sorted(first.values())
+        span = generate_subgroup(self.params, (g for i in acting for g in gens[i]))
+        for i in range(len(self)):
+            if span.order < self.params.order and not span.elements.issuperset(gens[i]):
+                acting = sorted(acting + [i])
+                span = generate_subgroup(self.params, (g for k in acting for g in gens[k]))
+        if span.order < self.params.order:
+            return tuple(range(len(self))), False
+        return tuple(acting), True
+
 
 @dataclass(frozen=True)
 class Transversal:
@@ -247,8 +270,9 @@ def family_generators(family: Family) -> list[Element]:
 
 
 def is_generating(p: MetacyclicParams, family: Family) -> bool:
-    """True iff the union of the family generates the whole group."""
-    return generate_subgroup(p, family_generators(family)).order == p.order
+    """True iff the union of the family generates the whole group: the walk
+    of :attr:`Family.acting` decides it."""
+    return family.acting[1]
 
 
 def divisibility_condition(p: MetacyclicParams) -> bool:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metasum import active_sum
 from metasum.active_sum import (
     DEFAULT_COSET_FACTOR,
     _free_reduce_signed,
@@ -31,6 +32,7 @@ from metasum.core import (
     conjugate_subgroup,
     cyclic_subgroup,
     element_log,
+    power,
     validate,
 )
 from metasum.coset import todd_coxeter as enumerate_cosets
@@ -39,6 +41,7 @@ from metasum.families import (
     Family,
     abelianized_group,
     build_generator_family,
+    conjugacy_closure,
     is_independent,
     transversal,
 )
@@ -46,25 +49,37 @@ from metasum.hall import build_hall_family
 from metasum.lattice import IntMatrix, abelian_quotient
 
 
-def _presentation_by_subgroup_lookup(p, family) -> FpPresentation:
-    """Generator-level presentation whose relator targets are found by
-    conjugating the whole member and looking its element set up."""
+def _presentation_by_subgroup_lookup(p, family, element_pairs=False) -> FpPresentation:
+    """Full presentation whose relator targets are found by conjugating the
+    whole member and looking its element set up.  One relator per member
+    pair (g_F1, g_F2), or with ``element_pairs`` one per element pair
+    (g_F1**k, g_F2**l), each element a power of its member's generator."""
     members = family.subgroups
     index_of = {pair: i for i, pair in enumerate(family.indexed_members())}
     relators = [(i + 1,) * sub.order for i, sub in enumerate(members)]
     for i1, f1 in enumerate(members):
         for i2, f2 in enumerate(members):
-            h = f1.generator
-            target = index_of[(conjugate_subgroup(p, f2, h), family.components[i2])]
-            e = element_log(p, members[target].generator, conjugate(p, f2.generator, h))
-            word = _free_reduce_signed([-(i1 + 1), i2 + 1, i1 + 1] + [-(target + 1)] * e)
-            if word:
-                relators.append(word)
+            for k in range(f1.order) if element_pairs else (1,):
+                h = power(p, f1.generator, k)
+                target = index_of[(conjugate_subgroup(p, f2, h), family.components[i2])]
+                for l in range(f2.order) if element_pairs else (1,):
+                    image = conjugate(p, power(p, f2.generator, l), h)
+                    e = element_log(p, members[target].generator, image)
+                    word = [-(i1 + 1)] * k + [i2 + 1] * l + [i1 + 1] * k + [-(target + 1)] * e
+                    if word := _free_reduce_signed(word):
+                        relators.append(word)
     gens = tuple(
         PresentationGenerator(symbol=f"x{i}", order=sub.order, element=sub.generator)
         for i, sub in enumerate(members)
     )
     return FpPresentation(generators=gens, relators=tuple(relators))
+
+
+def _order_or_none(pres: FpPresentation, limit: int) -> int | None:
+    try:
+        return todd_coxeter(pres, max_cosets=limit)
+    except CosetLimitExceeded:
+        return None
 
 
 class TestTargetLookup:
@@ -121,7 +136,7 @@ class TestPresentationShape:
     def test_exhaustive_mode_adds_relators_same_group(self, s3):
         fam = build_generator_family(s3)
         lean = build_active_sum_presentation(s3, fam)
-        full = build_active_sum_presentation(s3, fam, exhaustive=True)
+        full = _presentation_by_subgroup_lookup(s3, fam, element_pairs=True)
         assert len(full.relators) > len(lean.relators)
         assert todd_coxeter(lean, max_cosets=100) == todd_coxeter(full, max_cosets=100) == 6
 
@@ -130,10 +145,67 @@ class TestPresentationShape:
             if p.order > 24:
                 continue
             fam = build_generator_family(p)
-            lean = build_active_sum_presentation(p, fam)
-            full = build_active_sum_presentation(p, fam, exhaustive=True)
+            full = _presentation_by_subgroup_lookup(p, fam, element_pairs=True)
             limit = DEFAULT_COSET_FACTOR * p.order * 4
-            assert todd_coxeter(lean, max_cosets=limit) == todd_coxeter(full, max_cosets=limit)
+            expected = todd_coxeter(full, max_cosets=limit)
+            for acting in (None, fam.acting[0]):
+                lean = build_active_sum_presentation(p, fam, acting)
+                assert todd_coxeter(lean, max_cosets=limit) == expected, p
+
+
+class TestActingPresentation:
+    def test_matches_full_presentation_up_to_order_32(self, pool_48):
+        checked = 0
+        for p in pool_48:
+            if p.order > 32:
+                break
+            limit = DEFAULT_COSET_FACTOR * p.order
+            for family in (build_generator_family(p), build_hall_family(p).family):
+                acting, generating = family.acting
+                assert generating, p
+                lean = build_active_sum_presentation(p, family, acting)
+                full = build_active_sum_presentation(p, family)
+                assert set(lean.relators) <= set(full.relators)
+                assert _order_or_none(lean, limit) == _order_or_none(full, limit), p
+                assert abelianized_order(lean) == abelianized_order(full), p
+                checked += 1
+        assert checked == 2 * sum(1 for p in pool_48 if p.order <= 32)
+
+    def test_three_reflections_extend_the_representative(self, s3):
+        # One component, and one reflection spans only itself: the walk adds
+        # the next reflection, and two reflections generate S3.
+        family = conjugacy_closure(s3, [cyclic_subgroup(s3, (0, 1))])
+        assert family.components == (0, 0, 0)
+        assert family.acting == ((0, 1), True)
+        lean = build_active_sum_presentation(s3, family, family.acting[0])
+        full = build_active_sum_presentation(s3, family)
+        assert len(lean.relators) < len(full.relators)
+        assert todd_coxeter(lean, max_cosets=60) == todd_coxeter(full, max_cosets=60)
+        assert abelianized_order(lean) == abelianized_order(full)
+
+    @pytest.mark.parametrize("params, seed", [((3, 2, 0, 2), (1, 0)), ((6, 2, 0, 5), (0, 1))])
+    def test_non_generating_family_has_every_member_acting(self, params, seed):
+        # <a> alone in S3; the three reflections conjugate to b in D_6, which
+        # span an S3 of index 2.
+        p = validate(*params)
+        family = conjugacy_closure(p, [cyclic_subgroup(p, seed)])
+        assert family.acting == (tuple(range(len(family))), False)
+        assert not verdict(p, family).generating
+
+    def test_verdict_presents_dihedral_39_with_118_relators(self, monkeypatch):
+        # 40 members, two of them acting: 40 power relators and 2 x 39
+        # conjugation relators, against 40 + 40 x 39 = 1,600 in full.
+        p = validate(39, 2, 0, 38)
+        family = build_generator_family(p)
+        build, built = active_sum.build_active_sum_presentation, []
+        monkeypatch.setattr(
+            active_sum,
+            "build_active_sum_presentation",
+            lambda *args: built.append(build(*args)) or built[-1],
+        )
+        assert verdict(p, family).isomorphic
+        assert [len(pres.relators) for pres in built] == [118]
+        assert len(build(p, family).relators) == 1600
 
 
 class TestEnumeratedOrders:

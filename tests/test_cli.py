@@ -199,6 +199,37 @@ class TestVerify:
         assert capsys.readouterr().err == f"resource limit: {message}\n"
 
 
+    def test_memory_exhaustion_exits_resource_in_one_line(self):
+        """Real exhaustion under a 512 MiB address-space limit, by a stage
+        that keeps what it filled in a local: the report is one line, printed
+        once the traceback and the memory it holds are released."""
+        child = (
+            "import sys\n"
+            "from metasum import cli\n"
+            "def fill(*args, **kwargs):\n"
+            "    hold = None\n"
+            "    for size in (1 << 24, 1 << 20, 1 << 16, 1 << 12, 1 << 8, 0):\n"
+            "        try:\n"
+            "            while True:\n"
+            "                hold = (hold, bytearray(size))\n"
+            "        except MemoryError:\n"
+            "            pass\n"
+            "    while True:\n"
+            "        hold = (hold, bytearray(0))\n"
+            "cli.verdict = fill\n"
+            "sys.exit(cli.main(['verify', '-m', '3', '-s', '2', '-t', '0', '-r', '2']))\n"
+        )
+        limit = 1 << 29
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == EXIT_RESOURCE, proc.stderr
+        assert proc.stderr == "resource limit: out of memory\n"
+
 class TestTableFreeVerdicts:
     def test_no_verdict_builds_a_cayley_table(self, pool_48, monkeypatch):
         def refuse(self, p):
@@ -231,6 +262,21 @@ class TestTableFreeVerdicts:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.endswith("isomorphic: true\n")
 
+
+    def test_dihedral_2001_verifies_in_one_gib(self):
+        """2,002 members, 2 of them acting: the verdict's presentation has
+        6,004 relators, not the 4,008,004 of every member pair."""
+        limit = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "metasum.cli", "verify", "-m", "2001", "-s", "2", "-t", "0",
+             "-r", "2000"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.endswith("isomorphic: true\n")
 
 class TestScan:
     def test_golden_smallest_scan(self):

@@ -26,6 +26,7 @@ from metasum.core import (
     conjugate_subgroup,
     cyclic_subgroup,
     enumerate_elements,
+    generate_subgroup,
     idx_array,
     idx_subgroup,
     power,
@@ -176,6 +177,34 @@ class TestTransversal:
         assert len(walked) == len(set(fam.components)) == 2
         assert transversal(s3, fam) is transversal(s3, fam)
         assert len(walked) == 2
+
+
+class TestActingMembers:
+    def test_is_generating_matches_closure_of_every_member(self, pool_48):
+        # The production families always generate; the closures of <a> alone
+        # and <b> alone often do not, and walk past their representatives.
+        extended = falls_short = 0
+        for p in pool_48:
+            a, b = defining_generators(p)
+            for fam in (
+                build_generator_family(p),
+                build_hall_family(p).family,
+                conjugacy_closure(p, [cyclic_subgroup(p, a)]),
+                conjugacy_closure(p, [cyclic_subgroup(p, b)]),
+            ):
+                expected = generate_subgroup(p, family_generators(fam)).order == p.order
+                acting, generating = fam.acting
+                assert is_generating(p, fam) == generating == expected, p
+                firsts = {fam.components.index(comp) for comp in fam.components}
+                assert firsts <= set(acting) and list(acting) == sorted(acting)
+                if generating:
+                    span = generate_subgroup(p, [fam.subgroups[i].generator for i in acting])
+                    assert span.order == p.order
+                    extended += len(acting) > len(firsts)
+                else:
+                    assert acting == tuple(range(len(fam)))
+                    falls_short += 1
+        assert extended > 0 and falls_short > 0
 
 
 class TestClosedFormConjugation:
