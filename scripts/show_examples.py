@@ -16,8 +16,8 @@ import argparse
 
 from metasum.active_sum import build_active_sum_presentation, verdict
 from metasum.cli import build_family, resolve_family_mode
-from metasum.core import validate
-from metasum.families import family_generators, transversal
+from metasum.core import MetacyclicParams, validate
+from metasum.families import transversal
 
 SHOWCASE = [
     ("symmetric group deg 3", (3, 2, 0, 2)),
@@ -29,8 +29,10 @@ SHOWCASE = [
 ]
 
 
-def fmt(el: tuple[int, int]) -> str:
-    return f"({el[0]},{el[1]})"
+def fmt(p: MetacyclicParams, x: int) -> str:
+    """The element x = i*s + j as its normal form (i,j)."""
+    i, j = divmod(x, p.s)
+    return f"({i},{j})"
 
 
 def show(name: str, tup: tuple[int, int, int, int], family_mode: str) -> None:
@@ -42,10 +44,11 @@ def show(name: str, tup: tuple[int, int, int, int], family_mode: str) -> None:
 
     print(f"=== {name}: m={p.m} s={p.s} t={p.t} r={p.r} (|G| = {p.order}) ===")
     print(f"family mode: {mode}")
-    print("family generators:", " ".join(fmt(g) for g in family_generators(family)) or "(empty)")
+    gens = " ".join(fmt(p, sub.generator) for sub in family.subgroups)
+    print("family generators:", gens or "(empty)")
     print(
         "transversal:",
-        " ".join(fmt(rep.generator) for rep in tv.representatives) or "(empty)",
+        " ".join(fmt(p, rep.generator) for rep in tv.representatives) or "(empty)",
         f"orbit sizes {tv.orbit_sizes}",
     )
     print(

@@ -47,7 +47,6 @@ from .core import (
     cayley_table,
     commutator,
     conjugate,
-    conjugate_subgroup,
     cyclic_subgroup,
     element_log,
     element_order,
@@ -162,7 +161,6 @@ __all__ = [
     "commutator",
     "conjugacy_closure",
     "conjugate",
-    "conjugate_subgroup",
     "cyclic_subgroup",
     "derived_center_intersection_order",
     "derived_closed_form",

@@ -45,7 +45,7 @@ of the generator orders.  That is valid because every generator x_F has its
 power relator x_F**|F|, so N * e_F lies in the relation lattice for every F.
 It is still a lattice computation on the presentation's relation matrix, not
 the closed form it is compared with; the certified Smith form (with U and V)
-is kept for the places that need coordinates, and as the tests' oracle.
+is kept for G/G' and as the tests' oracle.
 
 ``verdict`` ties everything together: family checks (generating, regular,
 independent), the Ganea criterion, |S| = [S : <x_F>] * |F| by HLT coset

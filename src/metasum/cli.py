@@ -160,12 +160,12 @@ def _fmt_bool(value: bool | None) -> str:
     return "true" if value else "false"
 
 
-def _element_lists(subgroups: Sequence[Subgroup]) -> list[list[int]]:
-    return [list(sub.generator) for sub in subgroups]
+def _element_lists(p: MetacyclicParams, subgroups: Sequence[Subgroup]) -> list[list[int]]:
+    return [list(divmod(sub.generator, p.s)) for sub in subgroups]
 
 
-def _sorted_elements(sub: Subgroup) -> list[list[int]]:
-    return [list(e) for e in sorted(sub.elements)]
+def _sorted_elements(p: MetacyclicParams, sub: Subgroup) -> list[list[int]]:
+    return [list(divmod(x, p.s)) for x in sub.key]
 
 
 # --------------------------------------------------------------------------
@@ -184,9 +184,9 @@ def verdict_payload(
     trans = transversal(p, family)
     payload = {
         "params": {"m": p.m, "s": p.s, "t": p.t, "r": p.r},
-        "family": _element_lists(family.subgroups),
+        "family": _element_lists(p, family.subgroups),
         "family_mode": mode,
-        "transversal": _element_lists(trans.representatives),
+        "transversal": _element_lists(p, trans.representatives),
         "checks": {
             "generating": bool(v.generating),
             "regular": bool(v.regular),
@@ -364,7 +364,7 @@ def cmd_present(config: RunConfig) -> int:
             "params": {"m": p.m, "s": p.s, "t": p.t, "r": p.r},
             "family_mode": mode,
             "generators": [
-                {"symbol": g.symbol, "order": g.order, "element": list(g.element)}
+                {"symbol": g.symbol, "order": g.order, "element": list(divmod(g.element, p.s))}
                 for g in pres.generators
             ],
             "relators": [list(rel) for rel in pres.relators],
@@ -391,16 +391,16 @@ def oracle_report(p: MetacyclicParams) -> dict:
 
     # Brute force first: its Cayley table checks |G| against the cap, which
     # also bounds the closed forms' loops (the order of r divides s <= |G|).
-    brute_center = _sorted_elements(bruteforce_center(p))
-    closed_center = _sorted_elements(center_closed_form(p))
+    brute_center = _sorted_elements(p, bruteforce_center(p))
+    closed_center = _sorted_elements(p, center_closed_form(p))
     comparisons["center"] = {
         "closed": closed_center,
         "brute": brute_center,
         "agree": closed_center == brute_center,
     }
 
-    closed_derived = _sorted_elements(derived_closed_form(p))
-    brute_derived = _sorted_elements(bruteforce_derived(p))
+    closed_derived = _sorted_elements(p, derived_closed_form(p))
+    brute_derived = _sorted_elements(p, bruteforce_derived(p))
     comparisons["derived"] = {
         "closed": closed_derived,
         "brute": brute_derived,

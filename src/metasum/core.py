@@ -7,8 +7,11 @@ A parameter tuple ``(m, s, t, r)`` with ``r**s = 1 (mod m)`` and
 
 of order ``m*s``.  Those two congruences are exactly what is needed for the
 presented group to have order ``m*s``; every element then has a unique normal
-form ``a**i * b**j`` with ``0 <= i < m`` and ``0 <= j < s``, represented here
-as the plain tuple ``(i, j)``.
+form ``a**i * b**j`` with ``0 <= i < m`` and ``0 <= j < s``.  The package
+encodes it as the single integer ``x = i*s + j``, the mixed-radix form of the
+exponent vector (i, j) of that polycyclic normal form (Holt, Eick & O'Brien,
+*Handbook of Computational Group Theory*, 2005): the identity is 0, and the
+integers sort as the pairs (i, j) do.  ``divmod(x, s)`` recovers (i, j).
 
 Multiplication folds products back into normal form.  Conjugation by ``b``
 sends ``a`` to ``a**r``, so moving ``a**k`` leftward through ``b**j`` twists
@@ -22,15 +25,16 @@ so it can be absorbed into the ``a`` exponent:
 The module has two layers:
 
 * element-level functions (``mul``, ``inverse``, ``power``, ``conjugate``,
-  ``element_order``, ``generate_subgroup``) on normal-form tuples, the same
-  formulas vectorised on index arrays ``i*s + j`` (``mul_idx``, ``inv_idx``;
-  memory linear in the arrays) and ``element_orders``: every production
-  check is built from these; and
+  ``element_order``, ``generate_subgroup``) on single elements, the same
+  formulas vectorised on index arrays (``mul_idx``, ``inv_idx``; memory
+  linear in the arrays) and ``element_orders``: every production check is
+  built from these, and a check vectorised over G reads a subgroup as
+  ``np.array(sub.key)``; and
 * a dense :class:`CayleyTable` (independent vectorised arithmetic, memory
   quadratic in |G|) for the brute-force oracles and tests only: its whole-
   table scans cross-check the closed forms in :mod:`metasum.structure`,
-  ``element_orders``, the index arithmetic and the table-free checks in
-  :mod:`metasum.families` and :mod:`metasum.hall`.
+  ``element_orders``, the index arithmetic, ``generate_subgroup`` and the
+  table-free checks in :mod:`metasum.families` and :mod:`metasum.hall`.
 
 The element-enumeration cap (default ``10**6``, set by the ``METASUM_CAP``
 environment variable and read by :func:`default_cap`) bounds every operation
@@ -40,7 +44,6 @@ factors that :func:`mul` reads; there is no per-call override.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -50,7 +53,7 @@ import numpy as np
 
 from .errors import CapExceeded, ConstraintViolation, NotAPower
 
-Element = tuple[int, int]
+Element = int  # the index i*s + j of a**i * b**j
 
 DEFAULT_CAP = 10**6
 CAP_ENV_VAR = "METASUM_CAP"
@@ -143,29 +146,23 @@ def validate(m: int, s: int, t: int, r: int) -> MetacyclicParams:
     return MetacyclicParams(m=m, s=s, t=t % m, r=(r - 1) % m + 1)
 
 
-def identity(p: MetacyclicParams) -> Element:
-    return (0, 0)
-
-
 def mul(p: MetacyclicParams, x: Element, y: Element) -> Element:
-    """Product of two normal forms."""
-    i, j = x
-    k, l = y
+    """Product of two elements."""
+    (i, j), (k, l) = divmod(x, p.s), divmod(y, p.s)
     jl = j + l
-    return ((i + k * p._rinv_pows[j] + p.t * (jl // p.s)) % p.m, jl % p.s)
+    return (i + k * p._rinv_pows[j] + p.t * (jl // p.s)) % p.m * p.s + jl % p.s
 
 
 def inverse(p: MetacyclicParams, x: Element) -> Element:
-    """Inverse of a normal form.
+    """Inverse of an element.
 
     With l = -j mod s the b-exponents fold exactly once unless j = 0, so the
     a-exponent must cancel i plus that central contribution, pre-twisted by
     r**j to survive the move through b**j.
     """
-    i, j = x
+    i, j = divmod(x, p.s)
     carry = p.t if j else 0
-    k = (-(i + carry) * pow(p.r, j, p.m)) % p.m
-    return (k, (-j) % p.s)
+    return (-(i + carry) * pow(p.r, j, p.m)) % p.m * p.s + (-j) % p.s
 
 
 def mul_idx(p: MetacyclicParams, x, y) -> np.ndarray:
@@ -182,21 +179,11 @@ def inv_idx(p: MetacyclicParams, x) -> np.ndarray:
     return -(i + np.where(j > 0, p.t, 0)) * p._twist[jn] % p.m * p.s + jn
 
 
-def idx_array(p: MetacyclicParams, elems: Iterable[Element]) -> np.ndarray:
-    """Sorted indices ``i*s + j`` of the given normal forms."""
-    return np.array(sorted(i * p.s + j for i, j in elems), dtype=np.int64)
-
-
-def idx_subgroup(p: MetacyclicParams, idxs, generator: Element | None = None) -> Subgroup:
-    """The Subgroup whose elements have the indices ``idxs``."""
-    return Subgroup(frozenset(divmod(int(i), p.s) for i in np.ravel(idxs)), generator=generator)
-
-
 def power(p: MetacyclicParams, x: Element, n: int) -> Element:
     """n-th power by binary exponentiation; negative n inverts first."""
     if n < 0:
         return power(p, inverse(p, x), -n)
-    acc = (0, 0)
+    acc = 0
     base = x
     while n:
         if n & 1:
@@ -219,10 +206,9 @@ def commutator(p: MetacyclicParams, x: Element, y: Element) -> Element:
 
 def element_order(p: MetacyclicParams, x: Element) -> int:
     """Multiplicative order of x (at most m*s steps)."""
-    e = (0, 0)
     cur = x
     n = 1
-    while cur != e:
+    while cur != 0:
         cur = mul(p, cur, x)
         n += 1
     return n
@@ -230,7 +216,7 @@ def element_order(p: MetacyclicParams, x: Element) -> int:
 
 @lru_cache(maxsize=64)
 def element_orders(p: MetacyclicParams) -> np.ndarray:
-    """Read-only order of every element, indexed ``i*s + j``; cached per p.
+    """Read-only order of every element, indexed by the element; cached per p.
 
     With k = s/gcd(j, s) the order of b**j modulo <a>, (a**i b**j)**k = a**A
     where A = i*(1 + x + ... + x**(k-1)) + t*j/gcd(j, s) and x = r**-j, so
@@ -252,12 +238,6 @@ def element_orders(p: MetacyclicParams) -> np.ndarray:
     return out
 
 
-def enumerate_elements(p: MetacyclicParams) -> list[Element]:
-    """All m*s normal forms in lexicographic order; CapExceeded if too many."""
-    _check_cap(p.order, "group order")
-    return [(i, j) for i in range(p.m) for j in range(p.s)]
-
-
 def element_log(p: MetacyclicParams, base: Element, target: Element) -> int:
     """Least e >= 0 with base**e == target, or NotAPower.
 
@@ -265,10 +245,10 @@ def element_log(p: MetacyclicParams, base: Element, target: Element) -> int:
     target or, when it returns to the identity first, raising; cost is
     bounded by the order of ``base``.
     """
-    cur, e = (0, 0), 0
+    cur, e = 0, 0
     while cur != target:
         cur, e = mul(p, cur, base), e + 1
-        if cur == (0, 0):
+        if cur == 0:
             raise NotAPower(f"{target} is not a power of {base}")
     return e
 
@@ -291,7 +271,8 @@ class Subgroup:
 
     @cached_property
     def key(self) -> tuple[Element, ...]:
-        """Canonical sort key: the sorted element tuple."""
+        """Canonical sort key: the sorted element tuple, which orders the
+        normal forms as their pairs (i, j) since 0 <= j < s."""
         return tuple(sorted(self.elements))
 
     @property
@@ -306,25 +287,30 @@ class Subgroup:
 
 
 def trivial_subgroup(p: MetacyclicParams) -> Subgroup:
-    return Subgroup(frozenset({(0, 0)}), generator=(0, 0))
+    return Subgroup(frozenset({0}), generator=0)
 
 
 def generate_subgroup(p: MetacyclicParams, generators: Iterable[Element]) -> Subgroup:
     """Subgroup generated by the given elements (orbit closure).
 
     Closure under right multiplication by the generators suffices in a finite
-    group, and costs O(result size * number of generators) products.  The
-    ``generator`` field of the result is set exactly when a single generator
-    was supplied.
+    group, and costs O(result size * number of generators) products: the
+    product formula of :func:`mul`, with each generator split into (k, l)
+    once and each popped element once.  The ``generator`` field of the
+    result is set exactly when a single generator was supplied.
     """
     gens = list(generators)
     limit = default_cap()
-    seen: set[Element] = {(0, 0)}
-    frontier: list[Element] = [(0, 0)]
+    m, s, t, twist = p.m, p.s, p.t, p._rinv_pows
+    split = [divmod(g, s) for g in gens]
+    seen: set[Element] = {0}
+    frontier: list[Element] = [0]
     while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = mul(p, x, g)
+        i, j = divmod(frontier.pop(), s)
+        tw = twist[j]
+        for k, l in split:
+            jl = j + l
+            y = (i + k * tw + t * (jl // s)) % m * s + jl % s
             if y not in seen:
                 if len(seen) >= limit:
                     raise CapExceeded(f"subgroup closure exceeds cap {limit}")
@@ -339,20 +325,13 @@ def cyclic_subgroup(p: MetacyclicParams, g: Element) -> Subgroup:
     return generate_subgroup(p, [g])
 
 
-def conjugate_subgroup(p: MetacyclicParams, sub: Subgroup, h: Element) -> Subgroup:
-    """h**-1 * sub * h, conjugating the generator witness along."""
-    elems = frozenset(conjugate(p, x, h) for x in sub.elements)
-    gen = conjugate(p, sub.generator, h) if sub.generator is not None else None
-    return Subgroup(elems, generator=gen)
-
-
 # --------------------------------------------------------------------------
 # Dense Cayley-table layer: brute-force oracles.
 # --------------------------------------------------------------------------
 
 
 class CayleyTable:
-    """Dense multiplication table over element indices ``i*s + j``.
+    """Dense multiplication table over the elements ``i*s + j``.
 
     Built by vectorised modular arithmetic (independent of :func:`mul` and
     :func:`mul_idx`; they are cross-checked in the test suite).  All arrays
@@ -472,9 +451,9 @@ def cayley_table(p: MetacyclicParams) -> CayleyTable:
 
 def bruteforce_center(p: MetacyclicParams) -> Subgroup:
     """Center by scanning the full multiplication table for commuting rows."""
-    return idx_subgroup(p, cayley_table(p).center_idx)
+    return Subgroup(frozenset(cayley_table(p).center_idx.tolist()))
 
 
 def bruteforce_derived(p: MetacyclicParams) -> Subgroup:
     """Derived subgroup: closure of the set of all n**2 commutators."""
-    return idx_subgroup(p, cayley_table(p).derived_idx)
+    return Subgroup(frozenset(cayley_table(p).derived_idx.tolist()))

@@ -34,8 +34,9 @@ G are implemented here:
   isomorphism, where T is a transversal of conjugacy classes (conjugate
   members have equal image, so the transversal choice does not matter).
   Checked as: the product of the local orders |F/(F ∩ G')| equals |G/G'|,
-  and the images of the representatives' generators span G/G'.  Order
-  equality plus surjectivity forces bijectivity.
+  and the images of the representatives' generators span G/G' (their
+  exponent vectors appended to the relation rows of G/G' leave Smith
+  diagonal (1, 1)).  Order equality plus surjectivity forces bijectivity.
 
 The canonical two-generator family — <a>, <b> and all their conjugates — is
 built by ``build_generator_family``.  For it, independence is equivalent to
@@ -61,25 +62,22 @@ from .core import (
     conjugate,
     cyclic_subgroup,
     generate_subgroup,
-    idx_subgroup,
     inv_idx,
     mul_idx,
     power,
 )
 from .errors import ConditionFails, InternalCheckError
-from .lattice import AbelianQuotient, IntMatrix, abelian_quotient
+from .lattice import AbelianQuotient, IntMatrix, smith_diagonal
 from .structure import derived_closed_form
 
 def defining_generators(p: MetacyclicParams) -> tuple[Element, Element]:
-    """Normal forms of the defining generators a and b.
+    """The defining generators a and b.
 
     a reduces to the identity when m = 1.  For s = 1 the relation b = a**t
     makes b an element of <a>, so its normal form is (t mod m, 0) — possibly
     a nontrivial power of a — rather than an out-of-range (0, 1).
     """
-    a = (1 % p.m, 0)
-    b = (0, 1) if p.s > 1 else (p.t % p.m, 0)
-    return a, b
+    return 1 % p.m * p.s, 1 if p.s > 1 else p.t % p.m
 
 
 @dataclass(frozen=True)
@@ -182,10 +180,10 @@ def _assemble_family(p: MetacyclicParams, orbits: Iterable[Iterable[Subgroup]]) 
 def _conjugation_maps(p: MetacyclicParams) -> tuple[Callable, Callable]:
     """x -> x**a and x -> x**b in closed form, for the defining generators:
     (i, j)**a = (i - 1 + r**-j, j) and (i, j)**b = (i*r, j)."""
-    m, r, twist = p.m, p.r, p._rinv_pows
+    m, s, r, twist = p.m, p.s, p.r, p._rinv_pows
     return (
-        lambda x: ((x[0] - 1 + twist[x[1]]) % m, x[1]),
-        lambda x: (x[0] * r % m, x[1]),
+        lambda x: (x // s - 1 + twist[x % s]) % m * s + x % s,
+        lambda x: x // s * r % m * s + x % s,
     )
 
 
@@ -258,17 +256,6 @@ def transversal(p: MetacyclicParams, family: Family) -> Transversal:
     return family.transversal
 
 
-def family_generators(family: Family) -> list[Element]:
-    """One generating element per member (members are cyclic by construction)."""
-    gens: list[Element] = []
-    for sub in family.subgroups:
-        if sub.generator is not None:
-            gens.append(sub.generator)
-        else:
-            gens.extend(sub.elements)
-    return gens
-
-
 def is_generating(p: MetacyclicParams, family: Family) -> bool:
     """True iff the union of the family generates the whole group: the walk
     of :attr:`Family.acting` decides it."""
@@ -318,7 +305,7 @@ def is_regular(p: MetacyclicParams, family: Family) -> RegularityReport:
     for rep in transversal(p, family).representatives:
         if rep.generator is None:
             raise InternalCheckError("regularity check requires cyclic members with generators")
-        g = rep.generator[0] * p.s + rep.generator[1]
+        g = rep.generator
         pows, step = np.zeros(1, dtype=np.int64), g  # g**k for k < len(pows); step = g**len
         while pows.size < rep.order:
             pows, step = np.concatenate([pows, mul_idx(p, pows, step)]), mul_idx(p, step, step)
@@ -327,7 +314,8 @@ def is_regular(p: MetacyclicParams, family: Family) -> RegularityReport:
         log[pows] = np.arange(rep.order)
         e = log[mul_idx(p, mul_idx(p, h_inv, g), hs)]
         d = math.gcd(rep.order, int(np.gcd.reduce(e[e >= 0] - 1)))
-        checks.append(RegularityCheck(rep, idx_subgroup(p, pows[::d]), rep.elements & derived))
+        commutators = Subgroup(frozenset(pows[::d].tolist()))
+        checks.append(RegularityCheck(rep, commutators, rep.elements & derived))
     return RegularityReport(regular=all(c.ok for c in checks), checks=tuple(checks))
 
 
@@ -364,37 +352,27 @@ class IndependenceReport:
 def is_independent(p: MetacyclicParams, family: Family) -> IndependenceReport:
     """Check that ⊕_T F/(F ∩ G') → G/G' is an isomorphism.
 
-    The map restricted to each cyclic summand sends the generator of F to its
-    exponent-vector class, so surjectivity is equivalent to the generator
-    images spanning G/G'; injectivity then follows from the order count.
+    The map restricted to each cyclic summand sends the generator a**i b**j
+    of F to the class of its exponent vector (i, j), so surjectivity is
+    equivalent to G/G' modulo those images being trivial: the relation rows
+    of G/G' with every image appended have Smith diagonal (1, 1).
+    Injectivity then follows from the order count.
     """
     derived = derived_closed_form(p).elements
     reps = transversal(p, family).representatives
-    local_orders = []
-    image_rows = []
-    quot = abelianized_group(p)
-    for rep in reps:
-        local_orders.append(rep.order // len(rep.elements & derived))
-        if rep.generator is None:
-            raise InternalCheckError(
-                "independence check requires cyclic members with generators"
-            )
-        image_rows.append(quot.coordinates(rep.generator))
-    target = quot.structure.order
+    if any(rep.generator is None for rep in reps):
+        raise InternalCheckError("independence check requires cyclic members with generators")
+    local_orders = tuple(rep.order // len(rep.elements & derived) for rep in reps)
+    target = abelianized_group(p).structure.order
     if target is None:
         raise InternalCheckError("G/G' must be finite for a finite group")
+    rows = abelianization_rows(p).entries + tuple(divmod(rep.generator, p.s) for rep in reps)
+    spans = smith_diagonal(IntMatrix.from_rows(rows)) == (1, 1)
     product = math.prod(local_orders)
-    if target == 1:
-        spans = True
-    else:
-        n = len(quot.moduli)
-        rows = [list(row) for row in image_rows]
-        rows += [[d if i == j else 0 for j in range(n)] for i, d in enumerate(quot.moduli)]
-        spans = abelian_quotient(IntMatrix.from_rows(rows)).order == 1
     return IndependenceReport(
         independent=(product == target) and spans,
         representatives=reps,
-        local_orders=tuple(local_orders),
+        local_orders=local_orders,
         product_order=product,
         target_order=target,
         spans_quotient=spans,
@@ -431,7 +409,7 @@ class ConjugationWitness:
     beta: int
 
     def element(self, p: MetacyclicParams) -> Element:
-        return (self.z % p.m, 0)
+        return self.z % p.m * p.s
 
 
 def regularity_witness(p: MetacyclicParams) -> ConjugationWitness:

@@ -23,15 +23,17 @@ of cyclic subgroups whose active sum recovers G:
 
 The search tries prime sets in decreasing size (then lexicographically) and
 returns the first one for which every condition holds.  No Cayley table is
-built: element orders and G' are closed forms, and index rows are
-multiplied, inverted and conjugated by ``core.mul_idx``/``core.inv_idx``.
+built: element orders and G' are closed forms, and the Sylow normality test
+conjugates whole element arrays with ``core.mul_idx``/``core.inv_idx``.
 The pi-parts alpha = pi(a), beta = pi(b) of the defining generators span a
 Hall pi-subgroup H0 (the pi-part of <a> is normal, and the pi-part of b
 covers the pi-share of G/<a>), so the candidate Hall subgroups are the
-conjugates of H0, walked as its orbit under a and b.  Nilpotency and
-G' ∩ H = H' transfer along conjugation and are tested once; U = <u>
-centralising a conjugate (u commutes with its row) is tested per conjugate,
-in ascending order of the sorted index rows.  No subgroup is closed:
+conjugates of H0, walked as its orbit under a and b by the closed-form
+conjugations of ``families._orbit_of``.  Nilpotency and G' ∩ H = H'
+transfer along conjugation and are tested once; U = <u> centralising a
+conjugate (u commutes with each of its elements) is tested per conjugate,
+in ascending order of their sorted element tuples.  Neither N nor a Sylow
+subgroup is closed:
 
 * N and the Sylow sets are counted.  G is solvable, so (P. Hall) its
   pi'-elements are the union of its Hall pi'-subgroups, and the q-elements
@@ -65,9 +67,8 @@ from .core import (
     element_log,
     element_orders,
     generate_subgroup,
-    idx_array,
-    idx_subgroup,
     inv_idx,
+    mul,
     mul_idx,
     power,
     trivial_subgroup,
@@ -76,6 +77,7 @@ from .errors import InternalCheckError, SearchFailed
 from .families import (
     Family,
     Transversal,
+    _orbit_of,
     conjugacy_closure,
     defining_generators,
     transversal,
@@ -116,7 +118,7 @@ def pi_part(p: MetacyclicParams, g: Element, primes: tuple[int, ...]) -> Element
     With n = n_pi * n_rest coprime and 1 = x*n_pi + y*n_rest, the element
     g**(y*n_rest) has order n_pi and g equals the product of its two parts.
     """
-    n = int(element_orders(p)[g[0] * p.s + g[1]])
+    n = int(element_orders(p)[g])
     n_pi, n_rest = _split_by_primes(n, primes)
     _, _, y = xgcd(n_pi, n_rest)
     return power(p, g, (y * n_rest) % n)
@@ -124,7 +126,7 @@ def pi_part(p: MetacyclicParams, g: Element, primes: tuple[int, ...]) -> Element
 
 def pi_complement_part(p: MetacyclicParams, g: Element, primes: tuple[int, ...]) -> Element:
     """The power of g whose order is the pi'-part of the order of g."""
-    n = int(element_orders(p)[g[0] * p.s + g[1]])
+    n = int(element_orders(p)[g])
     n_pi, n_rest = _split_by_primes(n, primes)
     _, x, _ = xgcd(n_pi, n_rest)
     return power(p, g, (x * n_pi) % n)
@@ -186,18 +188,18 @@ def _factor_sylow(p: MetacyclicParams, prime: int, sylow_idx: np.ndarray) -> Syl
     (alpha by decreasing order then normal form, beta by normal form)."""
     size = int(sylow_idx.size)
     ords = element_orders(p)[sylow_idx]
-    elems = [divmod(int(i), p.s) for i in sylow_idx]  # ascending normal-form order
+    elems = sylow_idx.tolist()  # ascending
     if int(ords.max()) == size:
         gen = elems[int(np.argmax(ords == size))]
         sylow = Subgroup(frozenset(elems), generator=gen)  # cyclic: <alpha> trivial
         return SylowFactorization(prime, sylow, trivial_subgroup(p), cyclic_subgroup(p, gen), 1, 0)
     sylow = Subgroup(frozenset(elems))
-    order_of = {g: int(o) for g, o in zip(elems, ords)}
+    order_of = dict(zip(elems, ords.tolist()))
     syl_inv = inv_idx(p, sylow_idx)
     for alpha in sorted(elems, key=lambda g: (-order_of[g], g)):
         part_a = cyclic_subgroup(p, alpha)
-        alpha_conj = mul_idx(p, mul_idx(p, syl_inv, alpha[0] * p.s + alpha[1]), sylow_idx)
-        if not np.isin(alpha_conj, idx_array(p, part_a.elements)).all():
+        alpha_conj = mul_idx(p, mul_idx(p, syl_inv, alpha), sylow_idx)
+        if not part_a.elements.issuperset(alpha_conj.tolist()):
             continue  # <alpha> not normal in the Sylow subgroup
         for beta in elems:
             part_b = cyclic_subgroup(p, beta)
@@ -222,21 +224,6 @@ def _factor_sylow(p: MetacyclicParams, prime: int, sylow_idx: np.ndarray) -> Syl
     )
 
 
-def _conjugate_rows(p: MetacyclicParams, sub_idx: np.ndarray) -> np.ndarray:
-    """Sorted index rows of the G-conjugates of a subgroup, ascending, from a
-    walk over its orbit under the defining generators."""
-    gens = np.array([[i * p.s + j] for i, j in defining_generators(p)])
-    gens_inv = inv_idx(p, gens)
-    seen, frontier = {tuple(sub_idx.tolist())}, [sub_idx]
-    while frontier:
-        conj = mul_idx(p, mul_idx(p, gens_inv, frontier.pop()), gens)
-        for row in np.sort(conj, axis=1):
-            if (key := tuple(row.tolist())) not in seen:
-                seen.add(key)
-                frontier.append(row)
-    return np.array(sorted(seen), dtype=np.int64)
-
-
 def _try_prime_set(p: MetacyclicParams, primes: tuple[int, ...]) -> HallDecomposition | None:
     _, n_target = _split_by_primes(p.order, primes)
     pi_prod = math.prod(primes)
@@ -250,12 +237,11 @@ def _try_prime_set(p: MetacyclicParams, primes: tuple[int, ...]) -> HallDecompos
         raise InternalCheckError(
             "pi-parts of the defining generators must span a Hall subgroup"
         )
-    h0_idx = idx_array(p, h0.elements)
-    if _sylow_split(p, h0_idx) is None:
+    if _sylow_split(p, np.array(h0.key)) is None:
         return None  # Hall subgroup not nilpotent; conjugates are isomorphic
 
     zeta = _split_by_primes(p.m, primes)[1]
-    v = ((p.m // zeta) % p.m, 0)
+    v = p.m // zeta % p.m * p.s
     kernel_part = cyclic_subgroup(p, v)
     u = pi_complement_part(p, b, primes)
     top_part = cyclic_subgroup(p, u)
@@ -265,21 +251,19 @@ def _try_prime_set(p: MetacyclicParams, primes: tuple[int, ...]) -> HallDecompos
         return None  # N does not split as V x| U
     if math.gcd(p.r - 1, kernel_part.order) != 1:
         return None
-    derived = idx_array(p, derived_closed_form(p).elements)
-    if not np.array_equal(np.intersect1d(derived, n_idx), idx_array(p, kernel_part.elements)):
+    normal = Subgroup(frozenset(n_idx.tolist()))
+    derived = derived_closed_form(p).elements
+    if derived & normal.elements != kernel_part.elements:
         return None  # G' ∩ N != V
-    h0_derived = cyclic_subgroup(p, commutator(p, alpha, beta)).elements
-    if not np.array_equal(np.intersect1d(derived, h0_idx), idx_array(p, h0_derived)):
+    if derived & h0.elements != cyclic_subgroup(p, commutator(p, alpha, beta)).elements:
         return None  # G' ∩ H != H' (conjugation-invariant, so checked once)
 
-    u_idx = u[0] * p.s + u[1]
-    for row in _conjugate_rows(p, h0_idx):
-        if np.array_equal(mul_idx(p, u_idx, row), mul_idx(p, row, u_idx)):
-            hall_idx = row
+    for hall in sorted(_orbit_of(p, h0), key=lambda sub: sub.key):
+        if all(mul(p, u, x) == mul(p, x, u) for x in hall.elements):
             break
     else:
         return None  # U centralises no Hall pi-subgroup
-    split = _sylow_split(p, hall_idx)
+    split = _sylow_split(p, np.array(hall.key))
     if split is None:
         raise InternalCheckError("nilpotency must be conjugation invariant")
 
@@ -292,8 +276,8 @@ def _try_prime_set(p: MetacyclicParams, primes: tuple[int, ...]) -> HallDecompos
     return HallDecomposition(
         params=p,
         primes=primes,
-        hall_subgroup=idx_subgroup(p, hall_idx),
-        normal_complement=idx_subgroup(p, n_idx),
+        hall_subgroup=hall,
+        normal_complement=normal,
         kernel_part=kernel_part,
         top_part=top_part,
         twist_exponent=eta,

@@ -3,13 +3,11 @@
 Given an integer relation matrix A (rows are relations over n generators),
 ``smith_normal_form`` produces D = U @ A @ V with U, V unimodular and D
 diagonal with a divisibility chain d1 | d2 | ... .  The transformations are
-returned so every result is a checkable certificate, and
-``AbelianQuotient.coordinates`` uses V to map exponent vectors into the
-quotient Z^n / rowspace(A) expressed as  ⊕ Z/d_i  (+ free summands).  The certificate is kept only
-where those coordinates are needed: the independence check's small quotient
-of G/G' (3 x 2 relation matrices), and the tests, which use it as the oracle.
+returned so every result is a checkable certificate.  ``AbelianQuotient``
+keeps one for G/G' (a 3 x 2 relation matrix), and the tests use it as the
+oracle of the two routes below.
 
-Invariant factors without coordinates come from two routes that skip U and V:
+Invariant factors without a certificate come from two routes that skip U and V:
 ``smith_diagonal`` for dense matrices, and ``abelian_quotient_mod`` for
 sparse relation rows whose lattice contains N * Z^n for a known N.  The
 latter computes ab(S), the abelianized active sum (a presentation with
@@ -286,11 +284,10 @@ class AbelianStructure:
 
 
 class AbelianQuotient:
-    """The quotient Z^n / rowspace(relations), with coordinates.
+    """The quotient Z^n / rowspace(relations), with its Smith certificate.
 
-    The Smith certificate is computed once; ``moduli`` keeps the full diagonal
-    (including trivial factors) so that coordinates line up with it, while
-    ``structure`` reports only the nontrivial part.
+    ``moduli`` keeps the full diagonal (including trivial factors and a 0 per
+    free summand), while ``structure`` reports only the nontrivial part.
     """
 
     def __init__(self, relations: IntMatrix, entry_limit: int = DEFAULT_ENTRY_LIMIT):
@@ -303,19 +300,6 @@ class AbelianQuotient:
             invariant_factors=tuple(d for d in self.moduli if d > 1),
             free_rank=sum(1 for d in self.moduli if d == 0),
         )
-
-    def coordinates(self, vector: Sequence[int]) -> tuple[int, ...]:
-        """Image of an exponent vector in ⊕ Z/d_i (free coordinates unreduced).
-
-        Right-multiplying by V turns the relation lattice into ⊕ d_i Z, so the
-        class of a vector is (vector @ V) reduced modulo the moduli.  This map
-        is a homomorphism (Z-linear before reduction).
-        """
-        if len(vector) != self.n:
-            raise ValueError(f"vector length {len(vector)} != generator count {self.n}")
-        v = self.snf.v.entries
-        image = [sum(vector[i] * v[i][j] for i in range(self.n)) for j in range(self.n)]
-        return tuple(x % d if d else x for x, d in zip(image, self.moduli))
 
 
 def abelian_quotient(relations: IntMatrix) -> AbelianStructure:

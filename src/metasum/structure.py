@@ -74,13 +74,13 @@ def center_exponents(p: MetacyclicParams) -> tuple[int, int]:
 def center_closed_form(p: MetacyclicParams) -> Subgroup:
     """Z(G) = <a**k, b**s'> materialised as an element set."""
     k, s_prime = center_exponents(p)
-    return generate_subgroup(p, [(k % p.m, 0), (0, s_prime % p.s)])
+    return generate_subgroup(p, [k % p.m * p.s, s_prime % p.s])
 
 
 @lru_cache(maxsize=64)
 def derived_closed_form(p: MetacyclicParams) -> Subgroup:
     """G' = <a**(r-1)> materialised as an element set; cached per p."""
-    return generate_subgroup(p, [((p.r - 1) % p.m, 0)])
+    return generate_subgroup(p, [(p.r - 1) % p.m * p.s])
 
 
 def geometric_sum_mod(r: int, n: int, mod: int) -> int:

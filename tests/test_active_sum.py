@@ -29,7 +29,6 @@ from metasum.active_sum import (
 from metasum.core import (
     Subgroup,
     conjugate,
-    conjugate_subgroup,
     cyclic_subgroup,
     element_log,
     power,
@@ -61,7 +60,8 @@ def _presentation_by_subgroup_lookup(p, family, element_pairs=False) -> FpPresen
         for i2, f2 in enumerate(members):
             for k in range(f1.order) if element_pairs else (1,):
                 h = power(p, f1.generator, k)
-                target = index_of[(conjugate_subgroup(p, f2, h), family.components[i2])]
+                moved = Subgroup(frozenset(conjugate(p, x, h) for x in f2))
+                target = index_of[(moved, family.components[i2])]
                 for l in range(f2.order) if element_pairs else (1,):
                     image = conjugate(p, power(p, f2.generator, l), h)
                     e = element_log(p, members[target].generator, image)
@@ -121,10 +121,10 @@ class TestPresentationShape:
     def test_symmetric_group_generator_metadata(self, s3):
         pres = build_active_sum_presentation(s3, build_generator_family(s3))
         assert [(g.symbol, g.order, g.element) for g in pres.generators] == [
-            ("x0", 2, (0, 1)),
-            ("x1", 3, (1, 0)),
-            ("x2", 2, (1, 1)),
-            ("x3", 2, (2, 1)),
+            ("x0", 2, 1),  # (0, 1)
+            ("x1", 3, 2),  # (1, 0)
+            ("x2", 2, 3),  # (1, 1)
+            ("x3", 2, 5),  # (2, 1)
         ]
 
     def test_conjugation_relator_example(self, s3):
@@ -174,7 +174,7 @@ class TestActingPresentation:
     def test_three_reflections_extend_the_representative(self, s3):
         # One component, and one reflection spans only itself: the walk adds
         # the next reflection, and two reflections generate S3.
-        family = conjugacy_closure(s3, [cyclic_subgroup(s3, (0, 1))])
+        family = conjugacy_closure(s3, [cyclic_subgroup(s3, 1)])
         assert family.components == (0, 0, 0)
         assert family.acting == ((0, 1), True)
         lean = build_active_sum_presentation(s3, family, family.acting[0])
@@ -188,7 +188,7 @@ class TestActingPresentation:
         # <a> alone in S3; the three reflections conjugate to b in D_6, which
         # span an S3 of index 2.
         p = validate(*params)
-        family = conjugacy_closure(p, [cyclic_subgroup(p, seed)])
+        family = conjugacy_closure(p, [cyclic_subgroup(p, seed[0] * p.s + seed[1])])
         assert family.acting == (tuple(range(len(family))), False)
         assert not verdict(p, family).generating
 
@@ -265,7 +265,7 @@ class TestEnumeratedOrders:
 
     def test_missing_power_relator_is_an_internal_error(self):
         pres = FpPresentation(
-            generators=(PresentationGenerator(symbol="x0", order=3, element=(1, 0)),),
+            generators=(PresentationGenerator(symbol="x0", order=3, element=2),),
             relators=((1, 1),),
         )
         with pytest.raises(InternalCheckError):
@@ -346,7 +346,7 @@ class TestAbelianization:
 
     def test_missing_power_relator_is_an_internal_error(self):
         pres = FpPresentation(
-            generators=(PresentationGenerator(symbol="x0", order=3, element=(1, 0)),),
+            generators=(PresentationGenerator(symbol="x0", order=3, element=2),),
             relators=((1, 1),),
         )
         with pytest.raises(InternalCheckError):
@@ -357,14 +357,14 @@ class TestMalformedFamilies:
     def test_family_not_conjugation_closed(self, s3):
         # Two of the three reflections: conjugating one by the other leaves the family.
         members = sorted(
-            (cyclic_subgroup(s3, (0, 1)), cyclic_subgroup(s3, (1, 1))), key=lambda s: s.key
+            (cyclic_subgroup(s3, 1), cyclic_subgroup(s3, 3)), key=lambda s: s.key
         )
         broken = Family(params=s3, subgroups=tuple(members), components=(0, 0))
         with pytest.raises(InternalCheckError):
             build_active_sum_presentation(s3, broken)
 
     def test_member_without_generator(self, s3):
-        rotations = Subgroup(cyclic_subgroup(s3, (1, 0)).elements)
+        rotations = Subgroup(cyclic_subgroup(s3, 2).elements)
         family = Family(params=s3, subgroups=(rotations,), components=(0,))
         with pytest.raises(InternalCheckError):
             build_active_sum_presentation(s3, family)
@@ -378,7 +378,7 @@ class TestMalformedFamilies:
         family = build_generator_family(s3)
         i = next(i for i, sub in enumerate(family.subgroups) if sub.order == 2)
         members = list(family.subgroups)
-        members[i] = Subgroup(members[i].elements, generator=(0, 0))
+        members[i] = Subgroup(members[i].elements, generator=0)
         broken = Family(params=s3, subgroups=tuple(members), components=family.components)
         with pytest.raises(InternalCheckError):
             build_active_sum_presentation(s3, broken)

@@ -23,17 +23,13 @@ from metasum.core import (
     cayley_table,
     commutator,
     conjugate,
-    conjugate_subgroup,
+    Subgroup,
     cyclic_subgroup,
     default_cap,
     element_log,
     element_order,
     element_orders,
-    enumerate_elements,
     generate_subgroup,
-    identity,
-    idx_array,
-    idx_subgroup,
     inv_idx,
     inverse,
     mul,
@@ -43,6 +39,7 @@ from metasum.core import (
     validate,
 )
 from metasum.errors import CapExceeded, ConstraintViolation, NotAPower
+from metasum.families import defining_generators
 
 
 class TestValidate:
@@ -81,32 +78,31 @@ class TestValidate:
     def test_trivial_group(self):
         p = validate(1, 1, 0, 1)
         assert p.order == 1
-        assert enumerate_elements(p) == [(0, 0)]
+        assert mul(p, 0, 0) == inverse(p, 0) == 0
 
 
 class TestArithmetic:
     def test_symmetric_group_reflection_squares_to_identity(self, s3):
         # (ab)^2 = 1 in S3; fails under the opposite twist convention.
-        assert mul(s3, (1, 1), (1, 1)) == (0, 0)
+        assert mul(s3, 3, 3) == 0
 
     def test_quaternion_b_squared_is_a_squared(self, q8):
-        assert mul(q8, (0, 1), (0, 1)) == (2, 0)
+        assert mul(q8, 1, 1) == 4  # (0, 1)**2 = (2, 0)
 
     def test_quaternion_product_ba(self, q8):
         # b·a = a^3 b since moving a across b twists by r^{-1} = 3.
-        assert mul(q8, (0, 1), (1, 0)) == (3, 1)
+        assert mul(q8, 1, 2) == 7
 
     def test_identity_element(self, s3, q8):
-        assert identity(s3) == (0, 0)
+        assert power(s3, 1, 0) == 0  # the empty product
         for p in (s3, q8):
-            e = identity(p)
-            for x in enumerate_elements(p):
-                assert mul(p, e, x) == x
-                assert mul(p, x, e) == x
+            for x in range(p.order):
+                assert mul(p, 0, x) == x
+                assert mul(p, x, 0) == x
 
     def test_associativity_exhaustive_small(self, s3, q8):
         for p in (s3, q8):
-            els = enumerate_elements(p)
+            els = range(p.order)
             for x in els:
                 for y in els:
                     xy = mul(p, x, y)
@@ -114,17 +110,16 @@ class TestArithmetic:
                         assert mul(p, xy, z) == mul(p, x, mul(p, y, z))
 
     def test_inverse_exhaustive_small(self, q12):
-        e = identity(q12)
-        for x in enumerate_elements(q12):
-            assert mul(q12, x, inverse(q12, x)) == e
-            assert mul(q12, inverse(q12, x), x) == e
+        for x in range(q12.order):
+            assert mul(q12, x, inverse(q12, x)) == 0
+            assert mul(q12, inverse(q12, x), x) == 0
 
     def test_inverse_frozen_value(self, q8):
-        assert inverse(q8, (1, 1)) == (3, 1)
+        assert inverse(q8, 3) == 7  # (1, 1)**-1 = (3, 1)
 
     def test_power_matches_repeated_multiplication(self, q12):
-        for x in enumerate_elements(q12):
-            acc = identity(q12)
+        for x in range(q12.order):
+            acc = 0
             for n in range(0, q12.order + 2):
                 assert power(q12, x, n) == acc
                 acc = mul(q12, acc, x)
@@ -132,42 +127,36 @@ class TestArithmetic:
             assert power(q12, x, -5) == inverse(q12, power(q12, x, 5))
 
     def test_element_orders_frozen(self, s3, q8):
-        assert {x: element_order(s3, x) for x in enumerate_elements(s3)} == {
-            (0, 0): 1,
-            (0, 1): 2,
-            (1, 0): 3,
-            (1, 1): 2,
-            (2, 0): 3,
-            (2, 1): 2,
-        }
-        orders = sorted(element_order(q8, x) for x in enumerate_elements(q8))
+        assert [element_order(s3, x) for x in range(s3.order)] == [1, 2, 3, 2, 3, 2]
+        orders = sorted(element_order(q8, x) for x in range(q8.order))
         assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
 
     def test_conjugation_twists_rotation(self, s3):
         # a^b = a^r = a^2.
-        assert conjugate(s3, (1, 0), (0, 1)) == (2, 0)
+        assert conjugate(s3, 2, 1) == 4
 
     def test_commutator_of_defining_generators(self, s3, q8):
         # [a, b] = a^{r-1}.
-        assert commutator(s3, (1, 0), (0, 1)) == ((s3.r - 1) % s3.m, 0)
-        assert commutator(q8, (1, 0), (0, 1)) == ((q8.r - 1) % q8.m, 0)
+        assert commutator(s3, 2, 1) == (s3.r - 1) % s3.m * s3.s
+        assert commutator(q8, 2, 1) == (q8.r - 1) % q8.m * q8.s
 
     def test_enumeration_order_and_count(self, s3):
-        els = enumerate_elements(s3)
+        # The index i*s + j orders the elements as their normal forms (i, j).
+        els = [divmod(x, s3.s) for x in range(s3.order)]
         assert els == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
         assert len(set(els)) == s3.order
 
 
 class TestElementLog:
     def test_power_of_rotation(self, q8):
-        assert element_log(q8, (1, 0), (3, 0)) == 3
+        assert element_log(q8, 2, 6) == 3
 
     def test_identity_is_zeroth_power(self, q8):
-        assert element_log(q8, (1, 0), (0, 0)) == 0
+        assert element_log(q8, 2, 0) == 0
 
     def test_not_a_power_raises(self, q8):
         with pytest.raises(NotAPower):
-            element_log(q8, (1, 0), (0, 1))
+            element_log(q8, 2, 1)
 
 
 class TestCaps:
@@ -186,7 +175,7 @@ class TestCaps:
     def test_enumerate_respects_cap(self, q8, monkeypatch):
         monkeypatch.setenv("METASUM_CAP", "7")
         with pytest.raises(CapExceeded):
-            enumerate_elements(q8)
+            generate_subgroup(q8, [2, 1])  # the whole group, 8 elements
 
     def test_cayley_table_respects_cap(self, q8, monkeypatch):
         cayley_table(q8)  # cached under the default cap ...
@@ -201,82 +190,88 @@ class TestCaps:
         with pytest.raises(CapExceeded):
             p._rinv_pows
         with pytest.raises(CapExceeded):
-            mul(p, (0, 1), (0, 1))
+            mul(p, 1, 1)
         monkeypatch.setenv("METASUM_CAP", "11")
         assert len(p._rinv_pows) == 11
 
 
 class TestSubgroups:
     def test_cyclic_subgroup_of_rotation(self, s3):
-        sub = cyclic_subgroup(s3, (1, 0))
-        assert sorted(sub.elements) == [(0, 0), (1, 0), (2, 0)]
+        sub = cyclic_subgroup(s3, 2)
+        assert sorted(sub.elements) == [0, 2, 4]
         assert sub.order == 3
-        assert sub.generator == (1, 0)
-        assert (2, 0) in sub
-        assert (0, 1) not in sub
+        assert sub.generator == 2
+        assert 4 in sub
+        assert 1 not in sub
 
     def test_trivial_subgroup(self, s3):
         assert trivial_subgroup(s3).order == 1
         assert trivial_subgroup(s3).is_trivial
 
     def test_generate_full_group(self, s3):
-        assert generate_subgroup(s3, [(1, 0), (0, 1)]).order == 6
+        assert generate_subgroup(s3, [2, 1]).order == 6
 
     def test_conjugate_subgroup(self, s3):
-        sub_b = cyclic_subgroup(s3, (0, 1))
-        moved = conjugate_subgroup(s3, sub_b, (1, 0))
-        assert sorted(moved.elements) == [(0, 0), (1, 1)]
+        sub_b = cyclic_subgroup(s3, 1)
+        moved = {conjugate(s3, x, 2) for x in sub_b.elements}
+        assert sorted(moved) == [0, 3]
+
+    def test_closure_matches_table_on_pool_48(self, pool_48):
+        # Single generators, consecutive pairs of a spread of elements, and
+        # <a, b>, against the table's closure under pairwise products.
+        for p in pool_48:
+            tab = cayley_table(p)
+            xs = list(range(0, p.order, max(1, p.order // 5)))
+            for gens in [[x] for x in xs] + list(zip(xs, xs[1:])) + [defining_generators(p)]:
+                sub = generate_subgroup(p, gens)
+                assert sub.key == tuple(tab.closure_idx(np.array(gens)).tolist()), (p, gens)
+                assert sub.generator == (gens[0] if len(gens) == 1 else None)
 
 
 class TestBruteforceStructure:
     def test_center_frozen(self, s3, q8):
-        assert sorted(bruteforce_center(s3).elements) == [(0, 0)]
-        assert sorted(bruteforce_center(q8).elements) == [(0, 0), (2, 0)]
+        assert sorted(bruteforce_center(s3).elements) == [0]
+        assert sorted(bruteforce_center(q8).elements) == [0, 4]
 
     def test_derived_frozen(self, s3, q8):
-        assert sorted(bruteforce_derived(s3).elements) == [(0, 0), (1, 0), (2, 0)]
-        assert sorted(bruteforce_derived(q8).elements) == [(0, 0), (2, 0)]
+        assert sorted(bruteforce_derived(s3).elements) == [0, 2, 4]
+        assert sorted(bruteforce_derived(q8).elements) == [0, 4]
 
     def test_normalizer_frozen(self, s3):
-        rot = cyclic_subgroup(s3, (1, 0))
-        refl = cyclic_subgroup(s3, (0, 1))
+        rot = cyclic_subgroup(s3, 2)
+        refl = cyclic_subgroup(s3, 1)
         tab = cayley_table(s3)
-        assert tab.normalizer_idx(idx_array(s3, rot.elements)).size == 6  # normal subgroup
-        assert tab.normalizer_idx(idx_array(s3, refl.elements)).tolist() == [0, 1]
+        assert tab.normalizer_idx(np.array(rot.key)).size == 6  # normal subgroup
+        assert tab.normalizer_idx(np.array(refl.key)).tolist() == [0, 1]
 
     def test_commutator_span_frozen(self, s3):
-        rot = cyclic_subgroup(s3, (1, 0))
-        refl = cyclic_subgroup(s3, (0, 1))
-        span = cayley_table(s3).commutator_span_idx(
-            idx_array(s3, rot.elements), idx_array(s3, refl.elements)
-        )
-        assert sorted(idx_subgroup(s3, span).elements) == [(0, 0), (1, 0), (2, 0)]
+        rot = cyclic_subgroup(s3, 2)
+        refl = cyclic_subgroup(s3, 1)
+        span = cayley_table(s3).commutator_span_idx(np.array(rot.key), np.array(refl.key))
+        assert span.tolist() == [0, 2, 4]
 
 
 class TestCayleyTable:
     def test_table_matches_elementwise_product(self, q12):
         tab = cayley_table(q12)
-        els = enumerate_elements(q12)
-        for i, x in enumerate(els):
-            for j, y in enumerate(els):
-                assert divmod(int(tab.table[i, j]), q12.s) == mul(q12, x, y)
+        for x in range(q12.order):
+            for y in range(q12.order):
+                assert tab.table[x, y] == mul(q12, x, y)
 
     def test_orders_column_matches_element_order(self, q12):
         tab = cayley_table(q12)
         for i in range(tab.n):
-            assert tab.orders[i] == element_order(q12, divmod(i, q12.s))
+            assert tab.orders[i] == element_order(q12, i)
 
     def test_center_and_derived_indices(self, q8):
         tab = cayley_table(q8)
-        center = idx_subgroup(q8, tab.center_idx).elements
-        derived = idx_subgroup(q8, tab.derived_idx).elements
-        assert center == {(0, 0), (2, 0)}
-        assert derived == {(0, 0), (2, 0)}
+        assert tab.center_idx.tolist() == [0, 4]
+        assert tab.derived_idx.tolist() == [0, 4]
 
     def test_conjugation_table(self, s3):
         tab = cayley_table(s3)
-        i_a, i_b = s3.s, 1  # a = (1, 0) and b = (0, 1) as indices i*s + j
-        assert divmod(int(tab.conj[i_b, i_a]), s3.s) == conjugate(s3, (1, 0), (0, 1))
+        a, b = s3.s, 1  # (1, 0) and (0, 1)
+        assert tab.conj[b, a] == conjugate(s3, a, b)
 
     def test_conjugation_block_matches_whole_table(self, q12):
         tab = cayley_table(q12)
@@ -293,7 +288,7 @@ class TestCayleyTable:
             assert element_orders(p) is orders  # cached per p
 
     def test_identity_index_is_zero(self, s3):
-        assert idx_array(s3, [(0, 0)]).tolist() == [0]
+        assert trivial_subgroup(s3).key == (0,)
         assert cayley_table(s3).inv[0] == 0
 
 
@@ -307,11 +302,11 @@ class TestIndexArithmetic:
             assert np.array_equal(inv_idx(p, every), tab.inv), p
 
     def test_index_helpers_round_trip(self, q12):
-        rot = cyclic_subgroup(q12, (1, 0))
-        idxs = idx_array(q12, rot.elements)
+        rot = cyclic_subgroup(q12, 2)
+        idxs = np.array(rot.key)
         assert idxs.tolist() == [0, 2, 4, 6, 8, 10]
-        assert idx_subgroup(q12, idxs) == rot
-        assert idx_array(q12, []).dtype == np.int64
+        assert Subgroup(frozenset(idxs.tolist())) == rot
+        assert idxs.dtype == np.int64
 
 
 @st.composite
@@ -339,12 +334,12 @@ class TestIndexArithmeticLarge:
     @example((validate(1000, 1000, 500, 1), np.array([0, 999, 123_456, 999_999])))
     def test_matches_mul_and_inverse(self, data):
         p, xs = data
-        els = [divmod(int(x), p.s) for x in xs]
+        els = xs.tolist()
         prods = mul_idx(p, xs[:, None], xs[None, :])
         for a, x in enumerate(els):
-            assert divmod(int(inv_idx(p, xs)[a]), p.s) == inverse(p, x)
+            assert inv_idx(p, xs)[a] == inverse(p, x)
             for b, y in enumerate(els):
-                assert divmod(int(prods[a, b]), p.s) == mul(p, x, y)
+                assert prods[a, b] == mul(p, x, y)
 
 
 @st.composite
@@ -357,8 +352,8 @@ def params_and_elements(draw):
     step = m // np.gcd(m, r - 1) if m > 1 else 1
     t = draw(st.sampled_from(range(0, m, step))) if m > 1 else 0
     p = validate(m, s, t, r)
-    x = draw(st.tuples(st.integers(0, m - 1), st.integers(0, s - 1)))
-    y = draw(st.tuples(st.integers(0, m - 1), st.integers(0, s - 1)))
+    x = draw(st.integers(0, p.order - 1))
+    y = draw(st.integers(0, p.order - 1))
     return p, x, y
 
 
@@ -367,8 +362,7 @@ class TestProperties:
     @given(params_and_elements())
     def test_group_axioms_hold(self, data):
         p, x, y = data
-        e = identity(p)
-        assert mul(p, x, inverse(p, x)) == e
+        assert mul(p, x, inverse(p, x)) == 0
         assert inverse(p, mul(p, x, y)) == mul(p, inverse(p, y), inverse(p, x))
         assert mul(p, mul(p, x, y), inverse(p, y)) == x
 
@@ -388,7 +382,7 @@ class TestProperties:
     @given(params_and_elements())
     def test_conjugation_is_an_automorphism(self, data):
         p, x, y = data
-        h = (1 % p.m, p.s - 1)
+        h = 1 % p.m * p.s + p.s - 1  # (1, s - 1)
         lhs = conjugate(p, mul(p, x, y), h)
         rhs = mul(p, conjugate(p, x, h), conjugate(p, y, h))
         assert lhs == rhs

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,12 +24,8 @@ from metasum.core import (
     bruteforce_derived,
     cayley_table,
     conjugate,
-    conjugate_subgroup,
     cyclic_subgroup,
-    enumerate_elements,
     generate_subgroup,
-    idx_array,
-    idx_subgroup,
     power,
     validate,
 )
@@ -43,7 +40,6 @@ from metasum.families import (
     conjugacy_closure,
     defining_generators,
     divisibility_condition,
-    family_generators,
     is_generating,
     is_independent,
     is_regular,
@@ -55,42 +51,46 @@ from metasum.hall import build_hall_family
 from metasum.structure import derived_closed_form
 
 
+def _generators(family):
+    return [sub.generator for sub in family.subgroups]
+
+
 class TestDefiningGenerators:
     def test_split_case(self, s3):
-        assert defining_generators(s3) == ((1, 0), (0, 1))
+        assert defining_generators(s3) == (2, 1)  # (1, 0) and (0, 1)
 
     def test_nonsplit_case(self, q8):
-        assert defining_generators(q8) == ((1, 0), (0, 1))
+        assert defining_generators(q8) == (2, 1)
 
     def test_s_equal_one_puts_b_inside_a(self):
         # with s = 1 the power relation reads b = a^t
-        assert defining_generators(validate(5, 1, 2, 1)) == ((1, 0), (2, 0))
-        assert defining_generators(validate(6, 1, 0, 1)) == ((1, 0), (0, 0))
+        assert defining_generators(validate(5, 1, 2, 1)) == (1, 2)
+        assert defining_generators(validate(6, 1, 0, 1)) == (1, 0)
 
     def test_m_equal_one(self):
-        assert defining_generators(validate(1, 4, 0, 1)) == ((0, 0), (0, 1))
+        assert defining_generators(validate(1, 4, 0, 1)) == (0, 1)
 
     def test_trivial_group(self):
-        assert defining_generators(validate(1, 1, 0, 1)) == ((0, 0), (0, 0))
+        assert defining_generators(validate(1, 1, 0, 1)) == (0, 0)
 
 
 class TestFamilyConstruction:
     def test_symmetric_group_family(self, s3):
         fam = build_generator_family(s3)
-        assert family_generators(fam) == [(0, 1), (1, 0), (1, 1), (2, 1)]
+        assert _generators(fam) == [1, 2, 3, 5]  # (0,1) (1,0) (1,1) (2,1)
         assert fam.components == (1, 0, 1, 1)
         assert len(fam) == 4
 
     def test_quaternion_family_is_two_normal_subgroups(self, q8):
         fam = build_generator_family(q8)
-        assert family_generators(fam) == [(0, 1), (1, 0)]
+        assert _generators(fam) == [1, 2]
         assert fam.components == (1, 0)
 
     def test_collision_keeps_both_components(self):
         # m=5, s=1, t=2: <a> and <b> = <a^2> are equal as sets but the
         # family still has two members, one per defining generator.
         fam = build_generator_family(validate(5, 1, 2, 1))
-        assert family_generators(fam) == [(1, 0), (2, 0)]
+        assert _generators(fam) == [1, 2]
         assert fam.components == (0, 1)
         subs = fam.subgroups
         assert subs[0].elements == subs[1].elements
@@ -98,7 +98,7 @@ class TestFamilyConstruction:
     def test_trivial_seeds_are_dropped(self):
         # t = 0 and s = 1 make b the identity; only <a> survives.
         fam = build_generator_family(validate(6, 1, 0, 1))
-        assert family_generators(fam) == [(1, 0)]
+        assert _generators(fam) == [1]
         assert fam.components == (0,)
 
     def test_trivial_group_family_is_empty(self):
@@ -110,17 +110,17 @@ class TestFamilyConstruction:
             fam = build_generator_family(p)
             members = set(fam.subgroups)
             for sub in fam:
-                for h in [(1 % p.m, 0), (0, 1 % p.s)]:
-                    assert conjugate_subgroup(p, sub, h) in members
+                for h in [1 % p.m * p.s, 1 % p.s]:
+                    assert Subgroup(frozenset(conjugate(p, x, h) for x in sub)) in members
 
     def test_post_init_validates_parallel_lengths(self, s3):
-        sub = cyclic_subgroup(s3, (1, 0))
+        sub = cyclic_subgroup(s3, 2)
         with pytest.raises(InternalCheckError):
             Family(params=s3, subgroups=(sub,), components=(0, 1))
 
     def test_post_init_validates_canonical_order(self, s3):
-        rot = cyclic_subgroup(s3, (1, 0))
-        refl = cyclic_subgroup(s3, (0, 1))
+        rot = cyclic_subgroup(s3, 2)
+        refl = cyclic_subgroup(s3, 1)
         # refl.key < rot.key, so (rot, refl) is out of order
         with pytest.raises(InternalCheckError):
             Family(params=s3, subgroups=(rot, refl), components=(0, 1))
@@ -128,12 +128,12 @@ class TestFamilyConstruction:
 
 class TestConjugacyClosure:
     def test_closure_of_reflection(self, s3):
-        fam = conjugacy_closure(s3, [cyclic_subgroup(s3, (0, 1))])
-        assert family_generators(fam) == [(0, 1), (1, 1), (2, 1)]
+        fam = conjugacy_closure(s3, [cyclic_subgroup(s3, 1)])
+        assert _generators(fam) == [1, 3, 5]
         assert fam.components == (0, 0, 0)
 
     def test_distinct_orbits_deduplicates(self, s3):
-        seeds = [cyclic_subgroup(s3, (0, 1)), cyclic_subgroup(s3, (1, 1))]
+        seeds = [cyclic_subgroup(s3, 1), cyclic_subgroup(s3, 3)]
         merged = conjugacy_closure(s3, seeds, distinct_orbits=True)
         assert len(merged) == 3  # one orbit, counted once
         kept = conjugacy_closure(s3, seeds, distinct_orbits=False)
@@ -145,18 +145,18 @@ class TestTransversal:
     def test_symmetric_group(self, s3):
         fam = build_generator_family(s3)
         tv = transversal(s3, fam)
-        assert [rep.generator for rep in tv.representatives] == [(0, 1), (1, 0)]
+        assert [rep.generator for rep in tv.representatives] == [1, 2]
         assert tv.orbit_sizes == (3, 1)
         assert len(tv) == 2
 
     def test_collision_has_two_singleton_orbits(self):
         p = validate(5, 1, 2, 1)
         tv = transversal(p, build_generator_family(p))
-        assert [rep.generator for rep in tv.representatives] == [(1, 0), (2, 0)]
+        assert [rep.generator for rep in tv.representatives] == [1, 2]
         assert tv.orbit_sizes == (1, 1)
 
     def test_rejects_non_closed_family(self, s3):
-        refl = cyclic_subgroup(s3, (0, 1))
+        refl = cyclic_subgroup(s3, 1)
         broken = Family(params=s3, subgroups=(refl,), components=(0,))
         for _ in range(2):  # a failed check is not cached
             with pytest.raises(ValueError):
@@ -192,7 +192,7 @@ class TestActingMembers:
                 conjugacy_closure(p, [cyclic_subgroup(p, a)]),
                 conjugacy_closure(p, [cyclic_subgroup(p, b)]),
             ):
-                expected = generate_subgroup(p, family_generators(fam)).order == p.order
+                expected = generate_subgroup(p, _generators(fam)).order == p.order
                 acting, generating = fam.acting
                 assert is_generating(p, fam) == generating == expected, p
                 firsts = {fam.components.index(comp) for comp in fam.components}
@@ -213,7 +213,7 @@ class TestClosedFormConjugation:
         for p in pool_48:
             maps = families._conjugation_maps(p)
             for g, conj_by_g in zip(defining_generators(p), maps):
-                for x in enumerate_elements(p):
+                for x in range(p.order):
                     assert conj_by_g(x) == conjugate(p, x, g), (p, x, g)
 
 
@@ -242,10 +242,10 @@ class TestRegularity:
     def test_check_details_for_reflection(self, s3):
         report = is_regular(s3, build_generator_family(s3))
         by_gen = {c.representative.generator: c for c in report.checks}
-        refl = by_gen[(0, 1)]
+        refl = by_gen[1]
         # N(<b>) = <b> in S3, so [F, N(F)] is trivial, as is F ∩ G'.
         assert refl.commutator_side.order == 1
-        assert refl.intersection_side == frozenset({(0, 0)})
+        assert refl.intersection_side == frozenset({0})
 
 
 def _table_regularity(p, family) -> tuple[RegularityCheck, ...]:
@@ -255,9 +255,10 @@ def _table_regularity(p, family) -> tuple[RegularityCheck, ...]:
     derived = bruteforce_derived(p).elements
     checks = []
     for rep in transversal(p, family).representatives:
-        members = idx_array(p, rep.elements)
+        members = np.array(rep.key)
         span = tab.commutator_span_idx(members, tab.normalizer_idx(members))
-        checks.append(RegularityCheck(rep, idx_subgroup(p, span), rep.elements & derived))
+        commutators = Subgroup(frozenset(span.tolist()))
+        checks.append(RegularityCheck(rep, commutators, rep.elements & derived))
     return tuple(checks)
 
 
@@ -274,7 +275,7 @@ class TestClosedFormRegularity:
         assert irregular == 0  # every family of either mode is regular
 
     def test_member_without_generator(self, s3):
-        rotations = Subgroup(cyclic_subgroup(s3, (1, 0)).elements)
+        rotations = Subgroup(cyclic_subgroup(s3, 2).elements)
         family = Family(params=s3, subgroups=(rotations,), components=(0,))
         with pytest.raises(InternalCheckError):
             is_regular(s3, family)
@@ -333,6 +334,26 @@ class TestIndependence:
         p = data.draw(st.sampled_from(pool_48))
         fam = build_generator_family(p)
         assert is_independent(p, fam).independent == divisibility_condition(p)
+
+    def test_spans_quotient_iff_generators_and_derived_generate(self, pool_48):
+        # The images span G/G' iff the representatives' generators and G'
+        # generate G.  The families of <a> alone and <b> alone often fall short.
+        seen = set()
+        for p in pool_48:
+            a, b = defining_generators(p)
+            g_prime = derived_closed_form(p).generator
+            for fam in (
+                build_generator_family(p),
+                build_hall_family(p).family,
+                conjugacy_closure(p, [cyclic_subgroup(p, a)]),
+                conjugacy_closure(p, [cyclic_subgroup(p, b)]),
+            ):
+                rep = is_independent(p, fam)
+                gens = [sub.generator for sub in rep.representatives] + [g_prime]
+                spans = generate_subgroup(p, gens).order == p.order
+                assert rep.spans_quotient == spans, p
+                seen.add(spans)
+        assert seen == {True, False}
 
 
 class TestWitness:

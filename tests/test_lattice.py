@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from metasum.errors import OverflowDetected
 from metasum.lattice import (
-    AbelianQuotient,
     IntMatrix,
     abelian_quotient,
     abelian_quotient_mod,
@@ -153,24 +152,6 @@ class TestAbelianQuotient:
         assert structure.invariant_factors == (2,)
         assert structure.free_rank == 2
         assert structure.order is None
-
-    def test_coordinates_are_homomorphic(self):
-        rel = IntMatrix.from_rows([[4, 0], [-2, 2], [2, 0]])
-        q = AbelianQuotient(rel)
-        assert q.moduli == (2, 2)
-        xa, xb = q.coordinates((1, 0)), q.coordinates((0, 1))
-        combined = q.coordinates((3, 2))
-        expected = tuple((3 * a + 2 * b) % mod for a, b, mod in zip(xa, xb, q.moduli))
-        assert combined == expected
-
-    def test_relation_rows_map_to_zero(self):
-        rel = IntMatrix.from_rows([[3, 0], [0, 2], [1, 0]])
-        q = AbelianQuotient(rel)
-        for row in rel.entries:
-            coords = q.coordinates(row)
-            assert all(
-                c % mod == 0 if mod else c == 0 for c, mod in zip(coords, q.moduli)
-            )
 
     @settings(max_examples=60, deadline=None)
     @given(MATRIX_STRATEGY)
