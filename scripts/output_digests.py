@@ -6,7 +6,8 @@ The gates are the outputs a refactor must leave byte for byte as they are:
 * ``scan --max-order 48`` in every ``--output``/``--family`` combination;
 * ``scan --max-order 100 --output json`` under auto, hall and theorem3;
 * ``verify --output json`` on the ten benchmark verify tuples and D_81;
-* ``present`` (text and json) on D_81 and the negative control (8,2,2,5).
+* ``present`` and ``oracle`` (text and json) on D_81 and the negative
+  control (8,2,2,5).
 
 Each line reads ``<sha256>  exit <code>  <arguments>``.  Run it in two
 checkouts and diff the outputs:
@@ -59,9 +60,10 @@ def gates() -> list[list[str]]:
         out.append(["scan", "--max-order", "100", "--family", family, "--output", "json"])
     for q in VERIFY_TUPLES + (DIHEDRAL_81,):
         out.append(["verify", *_params(q), "--output", "json"])
-    for q in (DIHEDRAL_81, NEGATIVE_CONTROL):
-        for output in ("text", "json"):
-            out.append(["present", *_params(q), "--output", output])
+    for command in ("present", "oracle"):
+        for q in (DIHEDRAL_81, NEGATIVE_CONTROL):
+            for output in ("text", "json"):
+                out.append([command, *_params(q), "--output", output])
     return out
 
 

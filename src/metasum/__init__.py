@@ -91,7 +91,6 @@ from .hall import (
     hall_decomposition,
 )
 from .lattice import (
-    AbelianQuotient,
     AbelianStructure,
     IntMatrix,
     SmithNormalForm,
@@ -115,7 +114,6 @@ from .structure import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianQuotient",
     "AbelianStructure",
     "CapExceeded",
     "CayleyTable",

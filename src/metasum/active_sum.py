@@ -43,9 +43,9 @@ full presentation, which ``present`` always prints.
 the relators with ``lattice.abelian_quotient_mod``, working modulo N, the lcm
 of the generator orders.  That is valid because every generator x_F has its
 power relator x_F**|F|, so N * e_F lies in the relation lattice for every F.
-It is still a lattice computation on the presentation's relation matrix, not
-the closed form it is compared with; the certified Smith form (with U and V)
-is kept for G/G' and as the tests' oracle.
+It is still a lattice computation on the presentation's relation matrix,
+compared with the closed form of G/G' in ``families.abelianized_group``; the
+certified Smith form (with U and V) is kept as the tests' oracle of both.
 
 ``verdict`` ties everything together: family checks (generating, regular,
 independent), the Ganea criterion, |S| = [S : <x_F>] * |F| by HLT coset
@@ -64,9 +64,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Element, MetacyclicParams, conjugate, element_log, mul
+from .core import Element, MetacyclicParams, conjugate, mul
 from .coset import todd_coxeter as _enumerate_raw
-from .errors import CosetLimitExceeded, InternalCheckError, NotAPower
+from .errors import CosetLimitExceeded, InternalCheckError
 from .families import (
     Family,
     abelianized_group,
@@ -131,52 +131,20 @@ def _free_reduce_signed(word: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _member_of_generator(p: MetacyclicParams, family: Family) -> dict[tuple[int, Element], int]:
-    """(component, x) -> member index for every generator x of every member:
-    the powers w**k, gcd(k, |F|) = 1, of its witness w.  Distinct members of
+def _member_of_generator(
+    p: MetacyclicParams, family: Family
+) -> dict[tuple[int, Element], tuple[int, int]]:
+    """(component, x) -> (member index, k) for every generator x = w**k,
+    gcd(k, |F|) = 1, of every member with witness w.  Distinct members of
     one component are distinct cyclic subgroups, so no key repeats."""
-    member_of: dict[tuple[int, Element], int] = {}
+    member_of: dict[tuple[int, Element], tuple[int, int]] = {}
     for i, (sub, comp) in enumerate(family.indexed_members()):
-        x = sub.generator
-        for k in range(1, sub.order + 1):
+        x = 0
+        for k in range(sub.order):
             if math.gcd(k, sub.order) == 1:
-                member_of[(comp, x)] = i
+                member_of[(comp, x)] = (i, k)
             x = mul(p, x, sub.generator)
     return member_of
-
-
-def _conjugation_relator(
-    p: MetacyclicParams,
-    member_of: dict[tuple[int, Element], int],
-    family: Family,
-    i1: int,
-    i2: int,
-) -> tuple[int, ...]:
-    """Relator of the pair (h, g) = (g_F1, g_F2).
-
-    Expresses g**h inside the family member F2**h, found as the member of
-    F2's component that has g**h as a generator:  the relator says
-    x1**-1 x2 x1 equals the image written in the symbol of F2**h.
-    Conjugation acts within F2's own component, which disambiguates
-    coincident members from different components.  Raises InternalCheckError
-    if the image misses the target's cyclic generator — impossible for a
-    valid family, so it signals a bug.
-    """
-    members = family.subgroups
-    h = members[i1].generator
-    image = conjugate(p, members[i2].generator, h)
-    try:
-        i_target = member_of[(family.components[i2], image)]
-    except KeyError:
-        raise InternalCheckError("family is not conjugation closed") from None
-    try:
-        e = element_log(p, members[i_target].generator, image)
-    except NotAPower as exc:
-        raise InternalCheckError(
-            f"conjugate {image} of g_F2 by {h} is not a power of the "
-            f"generator of the target member {members[i_target].key}"
-        ) from exc
-    return _free_reduce_signed([-(i1 + 1), i2 + 1, i1 + 1] + [-(i_target + 1)] * e)
 
 
 def build_active_sum_presentation(
@@ -186,9 +154,15 @@ def build_active_sum_presentation(
 
     One conjugation relator per ordered member pair (F1, F2) with F1 among
     the ``acting`` member indices, every member when None (the module
-    docstring shows which subsets present the same group).  Member order
-    (and hence generator numbering) is the family's canonical order, so
-    output is reproducible byte for byte.
+    docstring shows which subsets present the same group).  With h = g_F1
+    and g = g_F2, the member F2**h is the one of F2's component that has
+    g**h as a generator, say g**h = (g_{F2**h})**e, and the relator says
+    x1**-1 x2 x1 = (x_{F2**h})**e.  Searching F2's own component
+    disambiguates coincident members of different components; an image that
+    is no generator there would mean the family is not conjugation closed,
+    a bug (InternalCheckError).  Member order (and hence generator
+    numbering) is the family's canonical order, so output is reproducible
+    byte for byte.
     """
     members = family.subgroups
     for sub in members:
@@ -205,8 +179,13 @@ def build_active_sum_presentation(
         (i + 1,) * sub.order for i, sub in enumerate(members)
     ]
     for i1 in range(len(members)) if acting is None else acting:
-        for i2 in range(len(members)):
-            word = _conjugation_relator(p, member_of, family, i1, i2)
+        h = members[i1].generator
+        for i2, (sub, comp) in enumerate(family.indexed_members()):
+            try:
+                i_target, e = member_of[(comp, conjugate(p, sub.generator, h))]
+            except KeyError:
+                raise InternalCheckError("family is not conjugation closed") from None
+            word = _free_reduce_signed([-(i1 + 1), i2 + 1, i1 + 1] + [-(i_target + 1)] * e)
             if word:
                 relators.append(word)
     return FpPresentation(generators=gens, relators=tuple(relators))
@@ -300,9 +279,7 @@ def verdict(p: MetacyclicParams, family: Family, max_cosets: int | None = None) 
     ganea = ganea_check(p).surjective
     pres = build_active_sum_presentation(p, family, family.acting[0])
     ab_s = abelianized_order(pres).order
-    ab_g = abelianized_group(p).structure.order
-    if ab_g is None:
-        raise InternalCheckError("G/G' of a finite group must be finite")
+    ab_g = abelianized_group(p).order
     try:
         order_s: int | None = todd_coxeter(pres, limit)
     except CosetLimitExceeded:

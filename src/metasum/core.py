@@ -214,15 +214,20 @@ def element_order(p: MetacyclicParams, x: Element) -> int:
     return n
 
 
-@lru_cache(maxsize=64)
 def element_orders(p: MetacyclicParams) -> np.ndarray:
     """Read-only order of every element, indexed by the element; cached per p.
 
     With k = s/gcd(j, s) the order of b**j modulo <a>, (a**i b**j)**k = a**A
     where A = i*(1 + x + ... + x**(k-1)) + t*j/gcd(j, s) and x = r**-j, so
-    the order is k*m/gcd(A, m).  CapExceeded when |G| exceeds the cap.
+    the order is k*m/gcd(A, m).  CapExceeded when |G| exceeds the cap
+    (checked before the cache lookup, as in :func:`cayley_table`).
     """
     _check_cap(p.order, "group order")
+    return _element_orders(p)
+
+
+@lru_cache(maxsize=64)
+def _element_orders(p: MetacyclicParams) -> np.ndarray:
     m, s, j = p.m, p.s, np.arange(p.s, dtype=np.int64)
     k = s // np.gcd(j, s)
     # The geometric sums by the binary digits of k: S(c + 2**e) = S(c) + x**c S(2**e).

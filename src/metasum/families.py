@@ -33,10 +33,13 @@ G are implemented here:
 * **independence** — the canonical map  ⊕_{F in T} F/(F ∩ G') → G/G'  is an
   isomorphism, where T is a transversal of conjugacy classes (conjugate
   members have equal image, so the transversal choice does not matter).
-  Checked as: the product of the local orders |F/(F ∩ G')| equals |G/G'|,
-  and the images of the representatives' generators span G/G' (their
-  exponent vectors appended to the relation rows of G/G' leave Smith
-  diagonal (1, 1)).  Order equality plus surjectivity forces bijectivity.
+  G/G' is Z^2 over the exponents of (a, b) modulo the lattice of (m, 0),
+  (-t, s) and (r-1, 0), that is of (g, 0) and (-t, s), g = gcd(m, r-1): of
+  order g*s, with invariant factors d1 = gcd(g, t, s) and g*s/d1.  Checked
+  as: the product of the local orders |F/(F ∩ G')| is g*s, and the
+  representatives' exponent vectors and those two rows span Z^2, that is,
+  the gcd of their 2 x 2 minors (d1*d2 of their Smith form) is 1 (Newman,
+  *Integral Matrices*, 1972).  Order plus surjectivity forces bijectivity.
 
 The canonical two-generator family — <a>, <b> and all their conjugates — is
 built by ``build_generator_family``.  For it, independence is equivalent to
@@ -50,7 +53,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
+from itertools import combinations
 from typing import Callable, Iterable
 
 import numpy as np
@@ -67,8 +71,8 @@ from .core import (
     power,
 )
 from .errors import ConditionFails, InternalCheckError
-from .lattice import AbelianQuotient, IntMatrix, smith_diagonal
-from .structure import derived_closed_form
+from .lattice import AbelianStructure
+from .structure import derived_closed_form, twist_gcd
 
 def defining_generators(p: MetacyclicParams) -> tuple[Element, Element]:
     """The defining generators a and b.
@@ -324,19 +328,12 @@ def is_regular(p: MetacyclicParams, family: Family) -> RegularityReport:
 # --------------------------------------------------------------------------
 
 
-def abelianization_rows(p: MetacyclicParams) -> IntMatrix:
-    """Relation rows of G/G' over the generators (a, b).
-
-    a**m = 1 gives (m, 0); b**s = a**t gives (-t, s); the conjugation
-    relation collapses to a**(r-1) = 1, i.e. (r-1, 0).
-    """
-    return IntMatrix.from_rows([(p.m, 0), (-p.t, p.s), (p.r - 1, 0)])
-
-
-@lru_cache(maxsize=64)
-def abelianized_group(p: MetacyclicParams) -> AbelianQuotient:
-    """G/G' as a certified abelian quotient of Z^2; cached per p (read-only)."""
-    return AbelianQuotient(abelianization_rows(p))
+def abelianized_group(p: MetacyclicParams) -> AbelianStructure:
+    """G/G' in closed form: invariant factors d1 = gcd(g, t, s) and g*s/d1,
+    g = gcd(m, r-1) (module docstring)."""
+    g = twist_gcd(p)
+    d1 = math.gcd(g, p.t, p.s)
+    return AbelianStructure(tuple(d for d in (d1, g * p.s // d1) if d > 1), 0)
 
 
 @dataclass(frozen=True)
@@ -354,20 +351,19 @@ def is_independent(p: MetacyclicParams, family: Family) -> IndependenceReport:
 
     The map restricted to each cyclic summand sends the generator a**i b**j
     of F to the class of its exponent vector (i, j), so surjectivity is
-    equivalent to G/G' modulo those images being trivial: the relation rows
-    of G/G' with every image appended have Smith diagonal (1, 1).
-    Injectivity then follows from the order count.
+    equivalent to those vectors and the rows (g, 0), (-t, s) of G/G'
+    spanning Z^2: the gcd of their 2 x 2 minors is 1.  Injectivity then
+    follows from the order count against |G/G'| = g*s.
     """
     derived = derived_closed_form(p).elements
     reps = transversal(p, family).representatives
     if any(rep.generator is None for rep in reps):
         raise InternalCheckError("independence check requires cyclic members with generators")
     local_orders = tuple(rep.order // len(rep.elements & derived) for rep in reps)
-    target = abelianized_group(p).structure.order
-    if target is None:
-        raise InternalCheckError("G/G' must be finite for a finite group")
-    rows = abelianization_rows(p).entries + tuple(divmod(rep.generator, p.s) for rep in reps)
-    spans = smith_diagonal(IntMatrix.from_rows(rows)) == (1, 1)
+    g = twist_gcd(p)
+    target = g * p.s
+    rows = [(g, 0), (-p.t, p.s), *(divmod(rep.generator, p.s) for rep in reps)]
+    spans = math.gcd(*(a * d - b * c for (a, b), (c, d) in combinations(rows, 2))) == 1
     product = math.prod(local_orders)
     return IndependenceReport(
         independent=(product == target) and spans,

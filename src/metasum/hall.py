@@ -11,8 +11,10 @@ of cyclic subgroups whose active sum recovers G:
 
 * ``V`` — the pi'-part of the cyclic kernel <a> (always normal in G),
 * ``U`` — the pi'-part of <b>; the decomposition requires N = V x| U with
-  U centralising H and gcd(r - 1, |V|) = 1, plus G' ∩ N = V and
-  G' ∩ H = H',
+  U centralising H and gcd(r - 1, |V|) = 1, plus G' ∩ H = H' and
+  G' ∩ N = V.  The last needs no test: G' lies in <a> and N ∩ <a> = V, so
+  G' ∩ N = V iff |V| divides |G'| = m/gcd(m, r-1), which holds as |V|
+  divides m and is prime to r - 1,
 * per Sylow subgroup H_q of H (H nilpotent means every such set of q-power
   order elements really is a subgroup): a two-generator factorisation
   H_q = <alpha> <beta> with <alpha> normal and the divisibility condition
@@ -253,8 +255,6 @@ def _try_prime_set(p: MetacyclicParams, primes: tuple[int, ...]) -> HallDecompos
         return None
     normal = Subgroup(frozenset(n_idx.tolist()))
     derived = derived_closed_form(p).elements
-    if derived & normal.elements != kernel_part.elements:
-        return None  # G' ∩ N != V
     if derived & h0.elements != cyclic_subgroup(p, commutator(p, alpha, beta)).elements:
         return None  # G' ∩ H != H' (conjugation-invariant, so checked once)
 

@@ -3,21 +3,23 @@
 Given an integer relation matrix A (rows are relations over n generators),
 ``smith_normal_form`` produces D = U @ A @ V with U, V unimodular and D
 diagonal with a divisibility chain d1 | d2 | ... .  The transformations are
-returned so every result is a checkable certificate.  ``AbelianQuotient``
-keeps one for G/G' (a 3 x 2 relation matrix), and the tests use it as the
-oracle of the two routes below.
+returned so every result is a checkable certificate; the tests use it as
+the oracle of the routes below and of the closed form of G/G' in
+:mod:`metasum.families`.
 
 Invariant factors without a certificate come from two routes that skip U and V:
-``smith_diagonal`` for dense matrices, and ``abelian_quotient_mod`` for
+``smith_diagonal`` for dense matrices (``abelian_quotient`` reads the
+quotient's isomorphism type off it), and ``abelian_quotient_mod`` for
 sparse relation rows whose lattice contains N * Z^n for a known N.  The
 latter computes ab(S), the abelianized active sum (a presentation with
-|family| generators and |family|**2 relators, at most two nonzero exponent
-sums per conjugation relator).  It works modulo N: unit pivots eliminate a
-generator at a time (sparse elimination in the manner of Dumas, Saunders &
-Villard, JSC 32, 2001), and only the small remainder, lifted back to Z with
-N * I appended, goes through ``smith_diagonal``.  Keeping entries modulo the
-exponent is the standard way to compute abelian invariants (Holt, Eick &
-O'Brien, Handbook of Computational Group Theory, 2005).
+|family| generators and |A| * |family| relators for the acting members A,
+at most two nonzero exponent sums per conjugation relator).  It works
+modulo N: unit pivots eliminate a generator at a time (sparse elimination
+in the manner of Dumas, Saunders & Villard, JSC 32, 2001), and only the
+small remainder, lifted back to Z with N * I appended, goes through
+``smith_diagonal``.  Keeping entries modulo the exponent is the standard
+way to compute abelian invariants (Holt, Eick & O'Brien, Handbook of
+Computational Group Theory, 2005).
 
 Arithmetic is exact (Python integers).  Entry magnitudes are nevertheless
 checked against a configurable limit after every elementary operation and
@@ -283,28 +285,11 @@ class AbelianStructure:
         return math.prod(self.invariant_factors)
 
 
-class AbelianQuotient:
-    """The quotient Z^n / rowspace(relations), with its Smith certificate.
-
-    ``moduli`` keeps the full diagonal (including trivial factors and a 0 per
-    free summand), while ``structure`` reports only the nontrivial part.
-    """
-
-    def __init__(self, relations: IntMatrix, entry_limit: int = DEFAULT_ENTRY_LIMIT):
-        self.relations = relations
-        self.n = relations.cols
-        self.snf = smith_normal_form(relations, entry_limit)
-        diag = list(self.snf.diagonal) + [0] * (self.n - min(relations.rows, self.n))
-        self.moduli = tuple(diag)
-        self.structure = AbelianStructure(
-            invariant_factors=tuple(d for d in self.moduli if d > 1),
-            free_rank=sum(1 for d in self.moduli if d == 0),
-        )
-
-
 def abelian_quotient(relations: IntMatrix) -> AbelianStructure:
-    """Isomorphism type of Z^n modulo the row space of ``relations``."""
-    return AbelianQuotient(relations).structure
+    """Isomorphism type of Z^n modulo the row space of ``relations``: the
+    Smith diagonal, with a 0 for each of the n columns it does not reach."""
+    diagonal = smith_diagonal(relations) + (0,) * (relations.cols - relations.rows)
+    return AbelianStructure(tuple(d for d in diagonal if d > 1), diagonal.count(0))
 
 
 def abelian_quotient_mod(

@@ -40,7 +40,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import CayleyTable, MetacyclicParams, Subgroup, cayley_table, generate_subgroup
+from .core import (
+    CayleyTable, MetacyclicParams, Subgroup, _check_cap, cayley_table, generate_subgroup
+)
 from .errors import CapExceeded, InternalCheckError
 from .lattice import DEFAULT_ENTRY_LIMIT, IntMatrix, smith_diagonal
 
@@ -77,9 +79,15 @@ def center_closed_form(p: MetacyclicParams) -> Subgroup:
     return generate_subgroup(p, [k % p.m * p.s, s_prime % p.s])
 
 
-@lru_cache(maxsize=64)
 def derived_closed_form(p: MetacyclicParams) -> Subgroup:
-    """G' = <a**(r-1)> materialised as an element set; cached per p."""
+    """G' = <a**(r-1)> materialised as an element set; cached per p, with the
+    closure's own cap condition |G'| = m/gcd(m, r-1) checked before lookup."""
+    _check_cap(p.m // twist_gcd(p), "derived subgroup order")
+    return _derived_closed_form(p)
+
+
+@lru_cache(maxsize=64)
+def _derived_closed_form(p: MetacyclicParams) -> Subgroup:
     return generate_subgroup(p, [(p.r - 1) % p.m * p.s])
 
 

@@ -342,7 +342,7 @@ class TestAbelianization:
         p = validate(*params)
         pres = build_active_sum_presentation(p, build_generator_family(p))
         assert abelianized_order(pres).order == ab_s
-        assert abelianized_group(p).structure.order == ab_g
+        assert abelianized_group(p).order == ab_g
 
     def test_missing_power_relator_is_an_internal_error(self):
         pres = FpPresentation(

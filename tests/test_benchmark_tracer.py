@@ -71,4 +71,5 @@ def test_tracer_installs_and_traces_a_hall_verdict():
         "families.is_regular",
     } <= set(result["verify"])
     assert "core.cayley_table" not in result["verify"]
+    assert "lattice.smith_normal_form" not in result["verify"]
     assert "core.cayley_table" in result["all"]

@@ -40,6 +40,7 @@ from metasum.core import (
 )
 from metasum.errors import CapExceeded, ConstraintViolation, NotAPower
 from metasum.families import defining_generators
+from metasum.structure import derived_closed_form
 
 
 class TestValidate:
@@ -177,11 +178,21 @@ class TestCaps:
         with pytest.raises(CapExceeded):
             generate_subgroup(q8, [2, 1])  # the whole group, 8 elements
 
-    def test_cayley_table_respects_cap(self, q8, monkeypatch):
-        cayley_table(q8)  # cached under the default cap ...
+    @pytest.mark.parametrize(
+        "build, params",
+        [
+            (cayley_table, (4, 2, 2, 3)),  # Q8: 8 elements
+            (element_orders, (4, 2, 2, 3)),
+            (derived_closed_form, (40, 2, 0, 39)),  # D_40: |G'| = 20
+        ],
+        ids=["cayley_table", "element_orders", "derived_closed_form"],
+    )
+    def test_cayley_table_respects_cap(self, build, params, monkeypatch):
+        p = validate(*params)
+        build(p)  # cached under the default cap ...
         monkeypatch.setenv("METASUM_CAP", "3")
         with pytest.raises(CapExceeded):  # ... and still refused under a lower one
-            cayley_table(q8)
+            build(p)
 
     def test_twist_table_checked_before_allocation(self, monkeypatch):
         # mul reads s twist factors; with s above the cap they are never built.

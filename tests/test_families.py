@@ -34,7 +34,6 @@ from metasum.families import (
     ConjugationWitness,
     Family,
     RegularityCheck,
-    abelianization_rows,
     abelianized_group,
     build_generator_family,
     conjugacy_closure,
@@ -48,6 +47,7 @@ from metasum.families import (
     xgcd,
 )
 from metasum.hall import build_hall_family
+from metasum.lattice import AbelianStructure, IntMatrix, smith_normal_form
 from metasum.structure import derived_closed_form
 
 
@@ -285,19 +285,22 @@ class TestPerGroupCaches:
     def test_second_call_returns_the_same_object(self, s3, q12, negative_control):
         for p in (s3, q12, negative_control):
             assert derived_closed_form(p) is derived_closed_form(p)
-            assert abelianized_group(p) is abelianized_group(p)
 
 
 class TestAbelianization:
-    def test_relation_rows(self, q8):
-        assert abelianization_rows(q8).to_lists() == [[4, 0], [-2, 2], [2, 0]]
-
     def test_quaternion_abelianization_is_klein(self, q8):
-        assert abelianized_group(q8).moduli == (2, 2)
+        assert abelianized_group(q8).invariant_factors == (2, 2)
 
     def test_symmetric_group_abelianization_is_c2(self, s3):
-        q = abelianized_group(s3)
-        assert q.structure.order == 2
+        assert abelianized_group(s3).order == 2
+
+    def test_closed_form_matches_certified_smith_form(self, pool_200):
+        # G/G' = Z^2 / <(m, 0), (-t, s), (r-1, 0)>, reduced with certificates.
+        for p in pool_200:
+            rows = IntMatrix.from_rows([(p.m, 0), (-p.t, p.s), (p.r - 1, 0)])
+            diagonal = smith_normal_form(rows).diagonal
+            expected = AbelianStructure(tuple(d for d in diagonal if d > 1), diagonal.count(0))
+            assert abelianized_group(p) == expected, p
 
 
 class TestIndependence:

@@ -46,6 +46,7 @@ from metasum.hall import (
     pi_part,
     prime_factors,
 )
+from metasum.structure import derived_closed_form
 
 
 class TestPrimeFactors:
@@ -229,6 +230,8 @@ class TestDecompositionInvariants:
             d = hall_decomposition(p)
             assert d.kernel_part.elements <= d.normal_complement.elements
             assert d.top_part.elements <= d.normal_complement.elements
+            derived = derived_closed_form(p).elements
+            assert derived & d.normal_complement.elements == d.kernel_part.elements
 
     def test_twist_gcd_conditions_inside_sylow(self, pool_48):
         for p in pool_48[::13]:
