@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
@@ -334,6 +333,7 @@ def cmd_scan(config: RunConfig) -> int:
     tasks = [(p.m, p.s, p.t, p.r, config.family_mode, config.max_cosets) for p in tuples]
     workers = pool_size(config.jobs, len(tasks), os.cpu_count())
     if workers > 1:
+        import multiprocessing  # here only: importing it slows every interpreter start
         with multiprocessing.Pool(workers) as pool:
             rows = pool.map(_scan_worker, tasks)
     else:

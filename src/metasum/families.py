@@ -26,9 +26,12 @@ G are implemented here:
   form.  Both other sides are closed forms for cyclic F = <g>: h normalises F
   iff g**h lies in F (g**h has the order of g), say g**h = g**e_h; then
   [g**k, h] = g**-k (g**h)**k = g**(k*(e_h - 1)), so
-  [F, N_G(F)] = <g**d> with d = gcd(|F|, e_h - 1 over h in N_G(F)).  One
-  vectorised pass over the n elements h and a discrete-log array of the |F|
-  powers of g give every e_h, in memory linear in n.
+  [F, N_G(F)] = <g**d> with d = gcd(|F|, e_h - 1 over h in N_G(F)).  As
+  e1*e2 - 1 = e1*(e2 - 1) + (e1 - 1), generators of N_G(F) suffice: the
+  Schreier generators w*x*w'**-1 of the transversal's own orbit walk
+  (Schreier's lemma; Holt, Eick & O'Brien, *Handbook of Computational Group
+  Theory*, 2005, ch. 4).  [g, h] = g**(e_h - 1) has order
+  |F|/gcd(|F|, e_h - 1), so |F|/d is the lcm of their closed-form orders.
 
 * **independence** — the canonical map  ⊕_{F in T} F/(F ∩ G') → G/G'  is an
   isomorphism, where T is a transversal of conjugacy classes (conjugate
@@ -57,17 +60,17 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable
 
-import numpy as np
-
 from .core import (
     Element,
     MetacyclicParams,
     Subgroup,
+    commutator,
     conjugate,
     cyclic_subgroup,
+    element_order,
     generate_subgroup,
-    inv_idx,
-    mul_idx,
+    inverse,
+    mul,
     power,
 )
 from .errors import ConditionFails, InternalCheckError
@@ -118,21 +121,20 @@ class Family:
     @cached_property
     def transversal(self) -> "Transversal":
         """The family's transversal, computed once (see :func:`transversal`)."""
-        by_component: dict[int, set[Subgroup]] = {}
+        p, by_component = self.params, {}
         for sub, comp in self.indexed_members():
             by_component.setdefault(comp, set()).add(sub)
-        orbits: list[tuple[Subgroup, int, int]] = []
-        for comp in sorted(by_component):
-            members = by_component[comp]
+        orbits = []
+        for comp, members in sorted(by_component.items()):
             seed = min(members, key=lambda s: s.key)
-            if _orbit_of(self.params, seed) != members:
+            orbit, closing = _orbit_of(p, seed)
+            if orbit.keys() != members:
                 raise ValueError("family is not conjugation closed")
-            orbits.append((seed, len(members), comp))
-        orbits.sort(key=lambda trip: (trip[0].key, trip[2]))
-        return Transversal(
-            representatives=tuple(rep for rep, _, _ in orbits),
-            orbit_sizes=tuple(size for _, size, _ in orbits),
-        )
+            schreier = {mul(p, mul(p, w, x), inverse(p, orbit[f])) for w, x, f in closing}
+            orbits.append((seed, len(members), tuple(sorted(schreier)), comp))
+        orbits.sort(key=lambda orbit: (orbit[0].key, orbit[3]))
+        reps, sizes, schreiers, _ = zip(*orbits) if orbits else ((),) * 4
+        return Transversal(reps, sizes, schreiers)
 
     @cached_property
     def acting(self) -> tuple[tuple[int, ...], bool]:
@@ -160,10 +162,11 @@ class Family:
 
 @dataclass(frozen=True)
 class Transversal:
-    """One representative per component (conjugation orbit) of the family."""
+    """One representative per orbit of the family and its normaliser's Schreier generators."""
 
     representatives: tuple[Subgroup, ...]
     orbit_sizes: tuple[int, ...]
+    normalizer_generators: tuple[tuple[Element, ...], ...]
 
     def __len__(self) -> int:
         return len(self.representatives)
@@ -191,19 +194,27 @@ def _conjugation_maps(p: MetacyclicParams) -> tuple[Callable, Callable]:
     )
 
 
-def _orbit_of(p: MetacyclicParams, seed: Subgroup) -> set[Subgroup]:
-    maps = _conjugation_maps(p)
-    orbit = {seed}
+def _orbit_of(p: MetacyclicParams, seed: Subgroup) -> tuple[dict[Subgroup, Element], list]:
+    """The conjugation orbit of seed with a conjugator w (seed**w = F) per member
+    F, and the walk's edges (w, x, F') to known members F' = F**x: the w*x*w'**-1
+    (w' the conjugator of F') are the Schreier generators of N_G(seed)."""
+    steps = tuple(zip(defining_generators(p), _conjugation_maps(p)))
+    orbit = {seed: 0}
+    closing: list[tuple[Element, Element, Subgroup]] = []
     frontier = [seed]
     while frontier:
         sub = frontier.pop()
-        for f in maps:
+        w = orbit[sub]
+        for x, f in steps:
             gen = None if sub.generator is None else f(sub.generator)
-            conj = Subgroup(frozenset(map(f, sub.elements)), generator=gen)
+            stays = gen in sub.elements or sub.order == p.order  # <g**x> = <g>; G**x = G
+            conj = sub if stays else Subgroup(frozenset(map(f, sub.elements)), generator=gen)
             if conj not in orbit:
-                orbit.add(conj)
+                orbit[conj] = mul(p, w, x)
                 frontier.append(conj)
-    return orbit
+            else:
+                closing.append((w, x, conj))
+    return orbit, closing
 
 
 def conjugacy_closure(
@@ -220,12 +231,12 @@ def conjugacy_closure(
     earlier seed is skipped (set semantics).  Whether the result generates G
     is *not* checked here; use :func:`is_generating`.
     """
-    orbits: list[set[Subgroup]] = []
+    orbits: list[dict[Subgroup, Element]] = []
     seen_orbits: set[frozenset[Subgroup]] = set()
     for seed in seeds:
         if seed.is_trivial:
             continue
-        orbit = _orbit_of(p, seed)
+        orbit, _ = _orbit_of(p, seed)
         if distinct_orbits:
             key = frozenset(orbit)
             if key in seen_orbits:
@@ -298,27 +309,22 @@ class RegularityReport:
 def is_regular(p: MetacyclicParams, family: Family) -> RegularityReport:
     """Check [F, N_G(F)] = F ∩ G' on a transversal, with full witnesses.
 
-    Closed forms (module docstring), O(n + |F|) per representative.
-    Conjugation equivariance of every ingredient makes per-representative
-    checking equivalent to checking all members.
+    Closed forms (module docstring): one element order per Schreier generator
+    until the lcm reaches |F|.  Conjugation equivariance of every ingredient
+    makes per-representative checking equivalent to checking all members.
     """
     derived = derived_closed_form(p).elements
-    hs = np.arange(p.order)
-    h_inv = inv_idx(p, hs)
+    found = transversal(p, family)
     checks = []
-    for rep in transversal(p, family).representatives:
+    for rep, schreier in zip(found.representatives, found.normalizer_generators):
         if rep.generator is None:
             raise InternalCheckError("regularity check requires cyclic members with generators")
-        g = rep.generator
-        pows, step = np.zeros(1, dtype=np.int64), g  # g**k for k < len(pows); step = g**len
-        while pows.size < rep.order:
-            pows, step = np.concatenate([pows, mul_idx(p, pows, step)]), mul_idx(p, step, step)
-        pows = pows[: rep.order]
-        log = np.full(p.order, -1, dtype=np.int64)
-        log[pows] = np.arange(rep.order)
-        e = log[mul_idx(p, mul_idx(p, h_inv, g), hs)]
-        d = math.gcd(rep.order, int(np.gcd.reduce(e[e >= 0] - 1)))
-        commutators = Subgroup(frozenset(pows[::d].tolist()))
+        g, span = rep.generator, 1  # span = lcm of the orders of [g, h] = |F|/d
+        for h in schreier:
+            span = math.lcm(span, element_order(p, commutator(p, g, h)))
+            if span == rep.order:
+                break
+        commutators = Subgroup(cyclic_subgroup(p, power(p, g, rep.order // span)).elements)
         checks.append(RegularityCheck(rep, commutators, rep.elements & derived))
     return RegularityReport(regular=all(c.ok for c in checks), checks=tuple(checks))
 

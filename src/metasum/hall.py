@@ -24,23 +24,24 @@ of cyclic subgroups whose active sum recovers G:
   what the active-sum argument needs locally.
 
 The search tries prime sets in decreasing size (then lexicographically) and
-returns the first one for which every condition holds.  No Cayley table is
-built: element orders and G' are closed forms, and the Sylow normality test
-conjugates whole element arrays with ``core.mul_idx``/``core.inv_idx``.
-The pi-parts alpha = pi(a), beta = pi(b) of the defining generators span a
-Hall pi-subgroup H0 (the pi-part of <a> is normal, and the pi-part of b
-covers the pi-share of G/<a>), so the candidate Hall subgroups are the
-conjugates of H0, walked as its orbit under a and b by the closed-form
-conjugations of ``families._orbit_of``.  Nilpotency and G' ∩ H = H'
-transfer along conjugation and are tested once; U = <u> centralising a
-conjugate (u commutes with each of its elements) is tested per conjugate,
-in ascending order of their sorted element tuples.  Neither N nor a Sylow
+returns the first one for which every condition holds, in plain integer
+arithmetic with closed-form element orders and G'.  The pi-parts alpha =
+pi(a), beta = pi(b) of the defining generators span a Hall pi-subgroup H0
+(the pi-part of <a> is normal, and the pi-part of b covers the pi-share of
+G/<a>), so the candidate Hall subgroups are the conjugates H0**w, walked
+with their conjugators w by ``families._orbit_of``.  Nilpotency and
+G' ∩ H = H' transfer along conjugation and are tested once; U = <u>
+centralises H0**w iff u commutes with alpha**w and beta**w, tested in
+ascending order of the conjugates' element tuples.  Neither N nor a Sylow
 subgroup is closed:
 
 * N and the Sylow sets are counted.  G is solvable, so (P. Hall) its
   pi'-elements are the union of its Hall pi'-subgroups, and the q-elements
   of H the union of its Sylow q-subgroups; a count equal to that subgroup
-  order leaves only the one subgroup, which is then normal.
+  order leaves only the one subgroup, which is then normal.  a**i b**j has
+  pi'-order iff the order k of b**j modulo <a> is a pi'-number and the
+  pi-part of m divides A in (a**i b**j)**k = a**A (``core.element_orders``):
+  one arithmetic progression of i per such column j.
 * H0' = <[alpha, beta]>: <alpha> lies in the cyclic normal <a>, so its
   subgroup <[alpha, beta]> is characteristic there and normal in H0, and
   H0 modulo it is generated by two commuting images.
@@ -57,8 +58,6 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .core import (
     Element,
     MetacyclicParams,
@@ -67,11 +66,12 @@ from .core import (
     conjugate,
     cyclic_subgroup,
     element_log,
+    element_order,
     element_orders,
     generate_subgroup,
-    inv_idx,
+    geometric_sum_mod,
+    inverse,
     mul,
-    mul_idx,
     power,
     trivial_subgroup,
 )
@@ -120,18 +120,16 @@ def pi_part(p: MetacyclicParams, g: Element, primes: tuple[int, ...]) -> Element
     With n = n_pi * n_rest coprime and 1 = x*n_pi + y*n_rest, the element
     g**(y*n_rest) has order n_pi and g equals the product of its two parts.
     """
-    n = int(element_orders(p)[g])
+    n = element_order(p, g)
     n_pi, n_rest = _split_by_primes(n, primes)
     _, _, y = xgcd(n_pi, n_rest)
     return power(p, g, (y * n_rest) % n)
 
 
 def pi_complement_part(p: MetacyclicParams, g: Element, primes: tuple[int, ...]) -> Element:
-    """The power of g whose order is the pi'-part of the order of g."""
-    n = int(element_orders(p)[g])
-    n_pi, n_rest = _split_by_primes(n, primes)
-    _, x, _ = xgcd(n_pi, n_rest)
-    return power(p, g, (x * n_pi) % n)
+    """The power g**(x*n_pi) of g whose order is the pi'-part of the order
+    of g: g times the inverse of its pi-part (:func:`pi_part`)."""
+    return mul(p, g, inverse(p, pi_part(p, g, primes)))
 
 
 @dataclass(frozen=True)
@@ -169,42 +167,54 @@ class HallDecomposition:
     sylow_factorizations: tuple[SylowFactorization, ...]
 
 
-def _sylow_split(p: MetacyclicParams, h_idx: np.ndarray) -> list[tuple[int, np.ndarray]] | None:
+def _pi_prime_progressions(p: MetacyclicParams, primes: tuple[int, ...]) -> list[tuple]:
+    """(j, i0, step) per column j: the pi'-elements a**i b**j are those with
+    i = i0 mod step (module docstring), i.e. i*geo_j + c_j = 0 mod m_pi.  Only
+    the columns j divisible by the pi-part of s have k = s/gcd(j, s) pi'."""
+    m_pi, s = _split_by_primes(p.m, primes)[0], p.s
+    out = []
+    for j in range(0, s, _split_by_primes(s, primes)[0]):
+        g = math.gcd(j, s)
+        geo = geometric_sum_mod(pow(p.r, -j, m_pi), s // g, m_pi)
+        c, d = p.t * (j // g) % m_pi, math.gcd(geo, m_pi)
+        if c % d == 0:
+            step = m_pi // d
+            out.append((j, -c // d * pow(geo // d, -1, step) % step, step))
+    return out
+
+
+def _sylow_split(p: MetacyclicParams, elems: list[Element]) -> list[tuple[int, dict]] | None:
     """Per-prime Sylow subgroups of H as counted sets of q-power-order
-    elements; None if a count differs from |H|_q (H is not nilpotent)."""
-    size = h_idx.size
-    ords = element_orders(p)[h_idx]
-    out: list[tuple[int, np.ndarray]] = []
+    elements, each a dict element -> order, ascending like H's ``elems``;
+    None if a count differs from |H|_q (H is not nilpotent)."""
+    size = len(elems)
+    ords = element_orders(p, elems)
+    out: list[tuple[int, dict[Element, int]]] = []
     for q in prime_factors(size):
         q_part, _ = _split_by_primes(size, (q,))
-        sel = h_idx[q_part % ords == 0]
-        if sel.size != q_part:
+        sel = {x: n for x, n in zip(elems, ords) if q_part % n == 0}
+        if len(sel) != q_part:
             return None
         out.append((q, sel))
     return out
 
 
-def _factor_sylow(p: MetacyclicParams, prime: int, sylow_idx: np.ndarray) -> SylowFactorization:
-    """Find cyclic <alpha> normal and <beta> with product the whole Sylow
-    subgroup and the local divisibility condition; deterministic search order
-    (alpha by decreasing order then normal form, beta by normal form)."""
-    size = int(sylow_idx.size)
-    ords = element_orders(p)[sylow_idx]
-    elems = sylow_idx.tolist()  # ascending
-    if int(ords.max()) == size:
-        gen = elems[int(np.argmax(ords == size))]
+def _factor_sylow(p: MetacyclicParams, prime: int, order_of: dict) -> SylowFactorization:
+    """Find cyclic <alpha> normal and <beta> with product the Sylow subgroup
+    (``order_of``: element -> order, ascending) and the local divisibility
+    condition; alpha by decreasing order then normal form, beta by normal form."""
+    elems, size = list(order_of), len(order_of)
+    if max(order_of.values()) == size:
+        gen = next(x for x in elems if order_of[x] == size)
         sylow = Subgroup(frozenset(elems), generator=gen)  # cyclic: <alpha> trivial
         return SylowFactorization(prime, sylow, trivial_subgroup(p), cyclic_subgroup(p, gen), 1, 0)
     sylow = Subgroup(frozenset(elems))
-    order_of = dict(zip(elems, ords.tolist()))
-    syl_inv = inv_idx(p, sylow_idx)
     for alpha in sorted(elems, key=lambda g: (-order_of[g], g)):
         part_a = cyclic_subgroup(p, alpha)
-        alpha_conj = mul_idx(p, mul_idx(p, syl_inv, alpha), sylow_idx)
-        if not part_a.elements.issuperset(alpha_conj.tolist()):
+        if not all(conjugate(p, alpha, y) in part_a.elements for y in elems):
             continue  # <alpha> not normal in the Sylow subgroup
-        for beta in elems:
-            part_b = cyclic_subgroup(p, beta)
+        for beta in (x for x in elems if part_a.order * order_of[x] >= size):
+            part_b = cyclic_subgroup(p, beta)  # a smaller beta cannot cover the Sylow
             meet = len(part_a.elements & part_b.elements)
             if part_a.order * part_b.order != size * meet:
                 continue  # <alpha><beta> falls short of the Sylow subgroup
@@ -228,9 +238,9 @@ def _factor_sylow(p: MetacyclicParams, prime: int, sylow_idx: np.ndarray) -> Syl
 
 def _try_prime_set(p: MetacyclicParams, primes: tuple[int, ...]) -> HallDecomposition | None:
     _, n_target = _split_by_primes(p.order, primes)
-    pi_prod = math.prod(primes)
-    n_idx = np.nonzero(np.gcd(element_orders(p), pi_prod) == 1)[0]
-    if n_idx.size != n_target:
+    n_columns = _pi_prime_progressions(p, primes)
+    n_count = sum(p.m // step for _, _, step in n_columns)
+    if n_count != n_target:
         return None  # the pi'-elements do not form a Hall subgroup
     a, b = defining_generators(p)
     alpha, beta = pi_part(p, a, primes), pi_part(p, b, primes)
@@ -239,7 +249,8 @@ def _try_prime_set(p: MetacyclicParams, primes: tuple[int, ...]) -> HallDecompos
         raise InternalCheckError(
             "pi-parts of the defining generators must span a Hall subgroup"
         )
-    if _sylow_split(p, np.array(h0.key)) is None:
+    split = _sylow_split(p, h0.key)
+    if split is None:
         return None  # Hall subgroup not nilpotent; conjugates are isomorphic
 
     zeta = _split_by_primes(p.m, primes)[1]
@@ -249,21 +260,25 @@ def _try_prime_set(p: MetacyclicParams, primes: tuple[int, ...]) -> HallDecompos
     top_part = cyclic_subgroup(p, u)
     if len(kernel_part.elements & top_part.elements) != 1:
         return None
-    if kernel_part.order * top_part.order != int(n_idx.size):
+    if kernel_part.order * top_part.order != n_count:
         return None  # N does not split as V x| U
     if math.gcd(p.r - 1, kernel_part.order) != 1:
         return None
-    normal = Subgroup(frozenset(n_idx.tolist()))
+    n_elems = (i * p.s + j for j, i0, step in n_columns for i in range(i0, p.m, step))
+    normal = Subgroup(frozenset(n_elems))
     derived = derived_closed_form(p).elements
     if derived & h0.elements != cyclic_subgroup(p, commutator(p, alpha, beta)).elements:
         return None  # G' ∩ H != H' (conjugation-invariant, so checked once)
 
-    for hall in sorted(_orbit_of(p, h0), key=lambda sub: sub.key):
-        if all(mul(p, u, x) == mul(p, x, u) for x in hall.elements):
+    conjugates, _ = _orbit_of(p, h0)
+    for hall in sorted(conjugates, key=lambda sub: sub.key):
+        w = conjugates[hall]
+        if all(commutator(p, u, conjugate(p, y, w)) == 0 for y in (alpha, beta)):
             break
     else:
         return None  # U centralises no Hall pi-subgroup
-    split = _sylow_split(p, np.array(hall.key))
+    if hall is not h0:  # H0 itself is the orbit's seed: its split is known
+        split = _sylow_split(p, hall.key)
     if split is None:
         raise InternalCheckError("nilpotency must be conjugation invariant")
 
@@ -281,7 +296,7 @@ def _try_prime_set(p: MetacyclicParams, primes: tuple[int, ...]) -> HallDecompos
         kernel_part=kernel_part,
         top_part=top_part,
         twist_exponent=eta,
-        sylow_factorizations=tuple(_factor_sylow(p, q, q_idx) for q, q_idx in split),
+        sylow_factorizations=tuple(_factor_sylow(p, q, order_of) for q, order_of in split),
     )
 
 

@@ -13,9 +13,10 @@ descriptions hold and are implemented here:
 
 * |G' ∩ Z(G)| = gcd(r-1, k).
 
-The geometric sum above is evaluated modulo k term by term, with the usual
-convention gcd(0, k) = k; for r = 1 the sum degenerates to s' (which equals 1
-in that case, as r = 1 has order 1).
+The geometric sum above is evaluated modulo k by the binary digits of s'
+(``core.geometric_sum_mod``), with the usual convention gcd(0, k) = k; for
+r = 1 the sum degenerates to s' (which equals 1 in that case, as r = 1 has
+order 1).
 
 ``ganea_check`` compares the Schur-multiplier order of the central quotient
 with |G' ∩ Z(G)|.  Surjectivity of the connecting (Ganea) map in the
@@ -28,6 +29,7 @@ Every closed form has an independent brute-force counterpart: center and
 derived subgroup by direct search in :mod:`metasum.core`, and the Schur
 multiplier via bar-resolution homology at the bottom of this module
 (``multiplier_order_from_table`` works on any abstract multiplication table).
+numpy is imported only inside that brute-force layer.
 The acceptance suite cross-checks closed forms against the brute-force routes
 on every valid parameter tuple with m*s <= 200.
 """
@@ -38,10 +40,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .core import (
-    CayleyTable, MetacyclicParams, Subgroup, _check_cap, cayley_table, generate_subgroup
+    CayleyTable, MetacyclicParams, Subgroup, _check_cap, cayley_table, generate_subgroup,
+    geometric_sum_mod,
 )
 from .errors import CapExceeded, InternalCheckError
 from .lattice import DEFAULT_ENTRY_LIMIT, IntMatrix, smith_diagonal
@@ -89,20 +90,6 @@ def derived_closed_form(p: MetacyclicParams) -> Subgroup:
 @lru_cache(maxsize=64)
 def _derived_closed_form(p: MetacyclicParams) -> Subgroup:
     return generate_subgroup(p, [(p.r - 1) % p.m * p.s])
-
-
-def geometric_sum_mod(r: int, n: int, mod: int) -> int:
-    """(1 + r + ... + r**(n-1)) mod mod, with the r = 1 case giving n mod mod."""
-    if mod == 1:
-        return 0
-    if r == 1:
-        return n % mod
-    total = 0
-    term = 1
-    for _ in range(n):
-        total = (total + term) % mod
-        term = term * r % mod
-    return total
 
 
 def schur_order_of_central_quotient(p: MetacyclicParams) -> int:
@@ -166,6 +153,7 @@ def quotient_table(tab: CayleyTable, normal_idx: np.ndarray) -> np.ndarray:
     order, so the identity coset always gets id 0 and the output is
     deterministic.
     """
+    import numpy as np
     n_idx = np.asarray(normal_idx, dtype=np.int64)
     rep_of = tab.table[np.ix_(n_idx, np.arange(tab.n))].min(axis=0)
     reps = np.unique(rep_of)
@@ -233,6 +221,7 @@ def multiplier_order_from_table(q: np.ndarray, entry_limit: int = DEFAULT_ENTRY_
     Finiteness is verified: rank(ker d2) must equal rank(d3), otherwise the
     input was not a group table and InternalCheckError is raised.
     """
+    import numpy as np
     q = np.asarray(q)
     n = int(q.shape[0])
     if n == 1:
@@ -277,7 +266,7 @@ def bruteforce_schur_of_central_quotient(
 def bruteforce_derived_center_intersection(p: MetacyclicParams) -> int:
     """|G' ∩ Z(G)| read off the Cayley table, for cross-checking the gcd form."""
     tab = cayley_table(p)
-    return int(np.intersect1d(tab.center_idx, tab.derived_idx).size)
+    return len(set(tab.center_idx.tolist()) & set(tab.derived_idx.tolist()))
 
 
 def bruteforce_ganea(

@@ -243,6 +243,42 @@ class TestTableFreeVerdicts:
                 payload, _ = verdict_payload(p, resolved, build_family(p, resolved))
                 assert payload["isomorphic"] or resolved == "theorem3"
 
+    def test_verdict_path_runs_without_numpy(self):
+        """In a fresh interpreter, importing the CLI, verify on a hall and a
+        theorem3 tuple, present and a small scan leave numpy unimported;
+        oracle imports it.  Every output equals this process's, where numpy
+        is loaded."""
+        child = (
+            "import contextlib, io, json, sys\n"
+            "from metasum import cli\n"
+            "def run(argv):\n"
+            "    buf = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buf):\n"
+            "        code = cli.main(argv)\n"
+            "    return [code, buf.getvalue(), 'numpy' in sys.modules]\n"
+            "loaded = 'numpy' in sys.modules\n"
+            "print(json.dumps([loaded, [run(argv) for argv in json.loads(sys.argv[1])]]))\n"
+        )
+        argvs = [
+            ["verify", "-m", "8", "-s", "2", "-t", "2", "-r", "5"],  # auto -> hall
+            ["verify", "-m", "3", "-s", "2", "-t", "0", "-r", "2", "--output", "json"],  # theorem3
+            ["present", "-m", "8", "-s", "2", "-t", "2", "-r", "5"],
+            ["scan", "--max-order", "24", "--output", "csv"],
+            ["oracle", "-m", "8", "-s", "2", "-t", "2", "-r", "5"],
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", child, json.dumps(argvs)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded, results = json.loads(proc.stdout)
+        assert not loaded
+        assert [numpy for _, _, numpy in results] == [False, False, False, False, True]
+        for argv, (code, out, _) in zip(argvs, results):
+            assert (code, out) == run_cli(argv), argv
+
     @pytest.mark.parametrize(
         "extra",
         [["-m", "10000", "-s", "1", "-t", "0", "-r", "1"],

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy.ntheory import n_order
+from sympy.ntheory import n_order, primefactors
 
 from metasum.core import (
     CayleyTable,
@@ -30,10 +30,8 @@ from metasum.core import (
     element_order,
     element_orders,
     generate_subgroup,
-    inv_idx,
     inverse,
     mul,
-    mul_idx,
     power,
     trivial_subgroup,
     validate,
@@ -182,10 +180,9 @@ class TestCaps:
         "build, params",
         [
             (cayley_table, (4, 2, 2, 3)),  # Q8: 8 elements
-            (element_orders, (4, 2, 2, 3)),
             (derived_closed_form, (40, 2, 0, 39)),  # D_40: |G'| = 20
         ],
-        ids=["cayley_table", "element_orders", "derived_closed_form"],
+        ids=["cayley_table", "derived_closed_form"],
     )
     def test_cayley_table_respects_cap(self, build, params, monkeypatch):
         p = validate(*params)
@@ -293,10 +290,10 @@ class TestCayleyTable:
         small = [p for p in pool_100 if p.order <= 60]
         assert any(p.s == 1 for p in small) and any(p.m == 1 for p in small)
         for p in small:
-            orders = element_orders(p)
-            assert np.array_equal(orders, cayley_table(p).orders), p
-            assert not orders.flags.writeable
-            assert element_orders(p) is orders  # cached per p
+            expected = cayley_table(p).orders.tolist()
+            assert element_orders(p, range(p.order)) == expected, p
+            assert [element_order(p, x) for x in range(p.order)] == expected, p
+            assert element_orders(p, range(p.order - 1, -1, -1)) == expected[::-1], p
 
     def test_identity_index_is_zero(self, s3):
         assert trivial_subgroup(s3).key == (0,)
@@ -308,9 +305,9 @@ class TestIndexArithmetic:
         small = [p for p in pool_100 if p.order <= 60]
         assert any(p.s == 1 for p in small) and any(p.m == 1 for p in small)
         for p in small:
-            tab, every = cayley_table(p), np.arange(p.order)
-            assert np.array_equal(mul_idx(p, every[:, None], every[None, :]), tab.table), p
-            assert np.array_equal(inv_idx(p, every), tab.inv), p
+            tab, every = cayley_table(p), range(p.order)
+            assert [[mul(p, x, y) for y in every] for x in every] == tab.table.tolist(), p
+            assert [inverse(p, x) for x in every] == tab.inv.tolist(), p
 
     def test_index_helpers_round_trip(self, q12):
         rot = cyclic_subgroup(q12, 2)
@@ -334,23 +331,45 @@ def large_params_and_indices(draw):
     t = draw(st.integers(0, m - 1)) // step * step
     p = validate(m, s, t, r)
     xs = draw(st.lists(st.integers(0, p.order - 1), min_size=1, max_size=8))
-    return p, np.array(xs, dtype=np.int64)
+    return p, xs
+
+
+LARGE_EXAMPLES = (
+    (validate(999_983, 1, 0, 1), [0, 1, 999_982]),
+    (validate(1, 10**6, 0, 1), [0, 1, 999_999]),
+    (validate(1000, 1000, 500, 1), [0, 999, 123_456, 999_999]),
+    (validate(2, 500_000, 1, 1), [1, 2, 999_999]),  # b of order 10**6
+)
 
 
 class TestIndexArithmeticLarge:
     @settings(max_examples=60, deadline=None)
     @given(large_params_and_indices())
-    @example((validate(999_983, 1, 0, 1), np.array([0, 1, 999_982])))
-    @example((validate(1, 10**6, 0, 1), np.array([0, 1, 999_999])))
-    @example((validate(1000, 1000, 500, 1), np.array([0, 999, 123_456, 999_999])))
-    def test_matches_mul_and_inverse(self, data):
+    @example(LARGE_EXAMPLES[0])
+    @example(LARGE_EXAMPLES[1])
+    @example(LARGE_EXAMPLES[2])
+    @example(LARGE_EXAMPLES[3])
+    def test_inverse_and_associativity(self, data):
         p, xs = data
-        els = xs.tolist()
-        prods = mul_idx(p, xs[:, None], xs[None, :])
-        for a, x in enumerate(els):
-            assert inv_idx(p, xs)[a] == inverse(p, x)
-            for b, y in enumerate(els):
-                assert prods[a, b] == mul(p, x, y)
+        for x in xs:
+            assert mul(p, x, inverse(p, x)) == 0 == mul(p, inverse(p, x), x)
+            for y in xs:
+                for z in xs[:3]:
+                    assert mul(p, mul(p, x, y), z) == mul(p, x, mul(p, y, z))
+
+    @settings(max_examples=60, deadline=None)
+    @given(large_params_and_indices())
+    @example(LARGE_EXAMPLES[0])
+    @example(LARGE_EXAMPLES[1])
+    @example(LARGE_EXAMPLES[2])
+    @example(LARGE_EXAMPLES[3])
+    def test_element_order_by_prime_divisors(self, data):
+        # n is the order of x iff x**n = 1 and x**(n/q) != 1 for each prime q | n.
+        p, xs = data
+        for x, n in zip(xs, element_orders(p, xs)):
+            assert n == element_order(p, x) and p.order % n == 0
+            assert power(p, x, n) == 0
+            assert all(power(p, x, n // q) != 0 for q in primefactors(n)), (p, x, n)
 
 
 @st.composite

@@ -274,6 +274,19 @@ class TestClosedFormRegularity:
                 irregular += not report.regular
         assert irregular == 0  # every family of either mode is regular
 
+    def test_schreier_generators_generate_the_normalizer_to_order_60(self, pool_100):
+        # Schreier's lemma on the transversal's own walk: N_G(F) exactly.
+        for p in pool_100:
+            if p.order > 60:
+                continue
+            tab = cayley_table(p)
+            for family in (build_generator_family(p), build_hall_family(p).family):
+                found = transversal(p, family)
+                for rep, schreier in zip(found.representatives, found.normalizer_generators):
+                    assert list(schreier) == sorted(set(schreier))
+                    normalizer = tab.normalizer_idx(np.array(rep.key)).tolist()
+                    assert generate_subgroup(p, schreier).key == tuple(normalizer), p
+
     def test_member_without_generator(self, s3):
         rotations = Subgroup(cyclic_subgroup(s3, 2).elements)
         family = Family(params=s3, subgroups=(rotations,), components=(0,))

@@ -38,6 +38,7 @@ from metasum.families import (
 )
 from metasum.hall import (
     HallDecomposition,
+    _pi_prime_progressions,
     _split_by_primes,
     _sylow_split,
     build_hall_family,
@@ -93,7 +94,7 @@ class TestConjugateRows:
     def test_walk_matches_whole_table_conjugation_to_order_60(self, pool_100):
         """The orbit walk gives, in ascending order, the rows np.unique gives
         over all n conjugates, for the H0 of every prime set of every
-        Hall-route tuple."""
+        Hall-route tuple; the conjugator w it carries gives H0**w."""
         checked = 0
         for p in pool_100:
             if p.order > 60 or divisibility_condition(p):
@@ -105,8 +106,11 @@ class TestConjugateRows:
                 for subset in combinations(primes, size):
                     h0 = generate_subgroup(p, [pi_part(p, a, subset), pi_part(p, b, subset)])
                     expected = np.unique(np.sort(tab.conj[:, np.array(h0.key)], axis=1), axis=0)
-                    walked = np.array(sorted(sub.key for sub in _orbit_of(p, h0)))
+                    orbit, _ = _orbit_of(p, h0)
+                    walked = np.array(sorted(sub.key for sub in orbit))
                     assert np.array_equal(walked, expected), (p, subset)
+                    for sub, w in orbit.items():
+                        assert sorted(tab.conjugates([w], h0.key)[0].tolist()) == list(sub.key)
                     checked += 1
         assert checked > 1000
 
@@ -154,10 +158,37 @@ class TestTableFreeSubgroupTests:
             if n_idx.size == n_target:
                 assert _closed_under_product(tab, n_idx), (p, subset)
                 counted += 1
-            for _, sel in _sylow_split(p, np.array(h0.key)) or ():
-                assert _closed_under_product(tab, sel), (p, subset)
+            for _, sel in _sylow_split(p, h0.key) or ():
+                assert list(sel) == sorted(sel)
+                assert list(sel.values()) == tab.orders[list(sel)].tolist()
+                assert _closed_under_product(tab, np.array(list(sel))), (p, subset)
                 counted += 1
         assert counted > 20000
+
+
+class TestPiPrimeProgressions:
+    def test_match_table_orders_for_every_prime_set(self, pool_200):
+        """The columns' progressions list exactly the elements whose table
+        order is prime to the prime set: every tuple of order <= 100 and
+        every fourth above, to order 200."""
+        checked = 0
+        for n, p in enumerate(pool_200):
+            if p.order > 100 and n % 4:
+                continue
+            orders = cayley_table(p).orders.tolist()
+            primes = prime_factors(p.order)
+            for size in range(1, len(primes) + 1):
+                for subset in combinations(primes, size):
+                    listed = sorted(
+                        i * p.s + j
+                        for j, i0, step in _pi_prime_progressions(p, subset)
+                        for i in range(i0, p.m, step)
+                    )
+                    pi = math.prod(subset)
+                    expected = [x for x, o in enumerate(orders) if math.gcd(o, pi) == 1]
+                    assert listed == expected, (p, subset)
+                    checked += 1
+        assert checked > 20000
 
 
 class TestDecompositionFrozen:
