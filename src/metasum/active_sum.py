@@ -39,13 +39,21 @@ Conjugation by x_F1 therefore acts as g_F1 does, which is every dropped
 relator.  A family that does not generate G has every member acting: the
 full presentation, which ``present`` always prints.
 
-``abelianized_order`` computes ab(S) from the sparse exponent-sum rows of
-the relators with ``lattice.abelian_quotient_mod``, working modulo N, the lcm
-of the generator orders.  That is valid because every generator x_F has its
-power relator x_F**|F|, so N * e_F lies in the relation lattice for every F.
-It is still a lattice computation on the presentation's relation matrix,
-compared with the closed form of G/G' in ``families.abelianized_group``; the
-certified Smith form (with U and V) is kept as the tests' oracle of both.
+``abelianized_order`` computes ab(S) by the same argument, abelianized.
+Every relator's exponent-sum row is zero or has one entry (the power relator
+|F| * e_F, or (1 - e) * e_F when g_R normalises F) or two, e_F - e * e_F'
+with F' = F**(g_R) and e a unit mod |F| = |F'|: x_F = e * x_F' in S^ab.  A
+weighted union-find over these edges writes every x_F as w_F * x_T, w_F a
+unit, for the root T of its class; the classes are the orbits under
+K = <g_A>.  A closed walk from T along a word h in g_A has T**h = T, and
+its composite exponent is the discrete log e_h of g_T**h, so it leaves
+(e_h - 1) * x_T = 0; every h in N_K(T) is such a walk.  So x_T has order
+d = gcd(|T|, e_h - 1 over h in N_K(T)), and <g_T**d> = [T, N_K(T)]
+(:mod:`metasum.families`).  For a generating family K = G and the classes
+are the components: S^ab = ⊕_T T/[T, N_G(T)] over a transversal, of order
+the product of |T| / |[T, N_G(T)]| that ``is_regular`` reports (the tests
+check this; it is not asserted).  The invariant factors come from
+``lattice.abelian_quotient`` of the roots' diagonal.
 
 ``verdict`` ties everything together: family checks (generating, regular,
 independent), the Ganea criterion, |S| = [S : <x_F>] * |F| by HLT coset
@@ -61,6 +69,7 @@ violation, since those would signal an implementation bug.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -74,7 +83,7 @@ from .families import (
     is_independent,
     is_regular,
 )
-from .lattice import AbelianStructure, abelian_quotient_mod
+from .lattice import AbelianStructure, IntMatrix, abelian_quotient
 from .structure import ganea_check
 
 DEFAULT_COSET_FACTOR = 10  # max_cosets defaults to this multiple of |G|
@@ -216,32 +225,64 @@ def todd_coxeter(pres: FpPresentation, max_cosets: int) -> int:
 def abelianized_order(pres: FpPresentation) -> AbelianStructure:
     """Invariant factors of the presentation's abelianization.
 
-    Each relator contributes its exponent-sum row, kept sparse.  The rows are
-    reduced modulo N = lcm of the generator orders, which requires N * e_F in
-    the relation lattice for every generator: the power relator x_F**|F| has
-    row |F| * e_F and |F| divides N.  A generator without one would make the
-    reduction wrong, so it raises InternalCheckError.
+    A weighted union-find over the exponent-sum rows (module docstring):
+    x_c = weight[c] * x_parent[c], and each root keeps the order ``cut`` its
+    rows leave it, starting from its generator's order.  A one-entry row
+    k * e_a cuts a's root by gcd with k (w_a is a unit); x_a = e * x_b joins
+    two roots or, in one class, cuts by gcd(cut, w_a - e * w_b).  Any other
+    row, a join of unequal orders or a non-unit e, and a generator without
+    its power relator x_F**|F| raise InternalCheckError: no active-sum
+    presentation has them.
     """
     orders = [g.order for g in pres.generators]
+    parent = list(range(len(orders)))
+    weight = [1] * len(orders)
+    cut = orders[:]
     has_power = [False] * len(orders)
-    rows = []
+
+    def find(c: int) -> int:
+        path = []
+        while parent[c] != c:
+            path.append(c)
+            c = parent[c]
+        w = 1
+        for node in reversed(path):
+            w = w * weight[node] % orders[c]
+            parent[node], weight[node] = c, w
+        return c
+
     for word in pres.relators:
-        row: dict[int, int] = {}
-        for k in word:
-            col = abs(k) - 1
-            row[col] = row.get(col, 0) + (1 if k > 0 else -1)
-        row = {col: x for col, x in row.items() if x}
+        sums: dict[int, int] = {}
+        for k, count in Counter(word).items():
+            sums[abs(k) - 1] = sums.get(abs(k) - 1, 0) + (count if k > 0 else -count)
+        row = sorted((abs(x) != 1, c, x) for c, x in sums.items() if x)  # +-1 first
+        if not row:
+            continue
+        (no_unit, a, x), (_, b, y) = row[0], row[-1]
         if len(row) == 1:
-            [(col, x)] = row.items()
-            if abs(x) == orders[col]:
-                has_power[col] = True
-        rows.append(row)
+            has_power[a] |= abs(x) == orders[a]
+            root = find(a)
+            cut[root] = math.gcd(cut[root], x)
+            continue
+        n, e = orders[a], -x * y
+        if len(row) > 2 or no_unit or orders[b] != n or math.gcd(e, n) != 1:
+            raise InternalCheckError(f"exponent sums {sums} fit no active-sum relator")
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            cut[ra] = math.gcd(cut[ra], weight[a] - e * weight[b])
+        else:
+            parent[ra], weight[ra] = rb, pow(weight[a], -1, n) * e * weight[b] % n
+            cut[rb] = math.gcd(cut[rb], cut[ra])
     missing = [g.symbol for g, ok in zip(pres.generators, has_power) if not ok]
     if missing:
         raise InternalCheckError(
             f"generators without a power relator: {' '.join(missing)}"
         )
-    return abelian_quotient_mod(rows, len(orders), math.lcm(*orders))
+    factors = [cut[c] for c in range(len(orders)) if parent[c] == c and cut[c] > 1]
+    k = len(factors)
+    return abelian_quotient(
+        IntMatrix.from_rows([[d * (i == j) for j in range(k)] for i, d in enumerate(factors)])
+    )
 
 
 @dataclass(frozen=True)
@@ -249,7 +290,8 @@ class Verdict:
     """All checks for one (group, family) pair plus the enumerated order.
 
     ``active_sum_order`` is None when enumeration hit the coset limit; then
-    ``isomorphic`` is None (unknown) and the verdict is partial.
+    ``isomorphic`` is None (unknown) and the verdict is partial.  The
+    abelianized orders need no enumeration and are always set.
     """
 
     params: MetacyclicParams
@@ -259,7 +301,7 @@ class Verdict:
     ganea_surjective: bool
     group_order: int
     active_sum_order: int | None
-    abelianized_order_s: int | None
+    abelianized_order_s: int
     abelianized_order_g: int
     isomorphic: bool | None
 

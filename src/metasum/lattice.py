@@ -4,22 +4,13 @@ Given an integer relation matrix A (rows are relations over n generators),
 ``smith_normal_form`` produces D = U @ A @ V with U, V unimodular and D
 diagonal with a divisibility chain d1 | d2 | ... .  The transformations are
 returned so every result is a checkable certificate; the tests use it as
-the oracle of the routes below and of the closed form of G/G' in
+the oracle of the route below and of the closed form of G/G' in
 :mod:`metasum.families`.
 
-Invariant factors without a certificate come from two routes that skip U and V:
-``smith_diagonal`` for dense matrices (``abelian_quotient`` reads the
-quotient's isomorphism type off it), and ``abelian_quotient_mod`` for
-sparse relation rows whose lattice contains N * Z^n for a known N.  The
-latter computes ab(S), the abelianized active sum (a presentation with
-|family| generators and |A| * |family| relators for the acting members A,
-at most two nonzero exponent sums per conjugation relator).  It works
-modulo N: unit pivots eliminate a generator at a time (sparse elimination
-in the manner of Dumas, Saunders & Villard, JSC 32, 2001), and only the
-small remainder, lifted back to Z with N * I appended, goes through
-``smith_diagonal``.  Keeping entries modulo the exponent is the standard
-way to compute abelian invariants (Holt, Eick & O'Brien, Handbook of
-Computational Group Theory, 2005).
+Invariant factors without a certificate come from ``smith_diagonal``, which
+skips U and V; ``abelian_quotient`` reads the quotient's isomorphism type off
+it.  The verdict calls it only on the diagonal that
+``active_sum.abelianized_order`` leaves of ab(S), the abelianized active sum.
 
 Arithmetic is exact (Python integers).  Entry magnitudes are nevertheless
 checked against a configurable limit after every elementary operation and
@@ -33,10 +24,9 @@ block, which keeps intermediate growth tame for small matrices.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import OverflowDetected
 
@@ -290,81 +280,3 @@ def abelian_quotient(relations: IntMatrix) -> AbelianStructure:
     Smith diagonal, with a 0 for each of the n columns it does not reach."""
     diagonal = smith_diagonal(relations) + (0,) * (relations.cols - relations.rows)
     return AbelianStructure(tuple(d for d in diagonal if d > 1), diagonal.count(0))
-
-
-def abelian_quotient_mod(
-    rows: Iterable[Mapping[int, int]], ncols: int, modulus: int
-) -> AbelianStructure:
-    """Isomorphism type of Z^ncols modulo the row space of sparse ``rows``.
-
-    Each row maps column indices to integer entries.  Requires that
-    ``modulus * Z^ncols`` lies in the row space (for instance, a row
-    d * e_c with d | modulus for every column c); otherwise the result is
-    the quotient by rowspace + modulus * Z^ncols.  Under that hypothesis
-    Z^n / L = (Z/N)^n / (L mod N) with N = modulus, so all arithmetic is
-    done modulo N:
-
-    * a row with an entry u that is a unit mod N expresses its column as a
-      combination of the others; clearing that column from the other rows
-      and dropping the row and the column leaves an isomorphic quotient.
-      Rows are taken shortest first and the pivot column is the unit entry
-      in the fewest rows, to limit fill-in;
-    * the rows left without a unit entry, over the columns left, are lifted
-      to Z with N * I appended, and ``smith_diagonal`` (which keeps its
-      entry-magnitude check) gives their invariant factors.
-
-    The result is always finite (``free_rank`` 0).
-    """
-    if modulus < 1:
-        raise ValueError(f"modulus must be positive, got {modulus}")
-    live: dict[int, dict[int, int]] = {}
-    rows_of: list[set[int]] = [set() for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        reduced = {c: x % modulus for c, x in row.items() if x % modulus}
-        if reduced:
-            live[i] = reduced
-            for c in reduced:
-                rows_of[c].add(i)
-    eliminated = [False] * ncols
-    heap = [(len(row), i) for i, row in live.items()]
-    heapq.heapify(heap)
-    while heap:
-        _, i = heapq.heappop(heap)
-        pivot_row = live.get(i)
-        if pivot_row is None:
-            continue
-        units = [c for c, x in pivot_row.items() if math.gcd(x, modulus) == 1]
-        if not units:
-            continue  # revisited only if a later elimination changes it
-        col = min(units, key=lambda c: (len(rows_of[c]), c))
-        inverse = pow(pivot_row[col], -1, modulus)
-        del live[i]
-        for c in pivot_row:
-            rows_of[c].discard(i)
-        targets, rows_of[col] = rows_of[col], set()
-        eliminated[col] = True
-        for j in targets:
-            row = live[j]
-            factor = row[col] * inverse % modulus
-            for c, x in pivot_row.items():
-                y = (row.get(c, 0) - factor * x) % modulus
-                if y:
-                    if c not in row:
-                        rows_of[c].add(j)
-                    row[c] = y
-                elif c in row:
-                    del row[c]
-                    rows_of[c].discard(j)
-            if row:
-                heapq.heappush(heap, (len(row), j))
-            else:
-                del live[j]
-    rest = [c for c in range(ncols) if not eliminated[c]]
-    remainder = {tuple(row.get(c, 0) for c in rest) for row in live.values()}
-    lifted = sorted(remainder) + [
-        tuple(modulus if k == j else 0 for j in range(len(rest))) for k in range(len(rest))
-    ]
-    diagonal = smith_diagonal(IntMatrix.from_rows(lifted))
-    return AbelianStructure(
-        invariant_factors=tuple(d for d in diagonal if d > 1), free_rank=0
-    )

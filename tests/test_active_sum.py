@@ -42,6 +42,7 @@ from metasum.families import (
     build_generator_family,
     conjugacy_closure,
     is_independent,
+    is_regular,
     transversal,
 )
 from metasum.hall import build_hall_family
@@ -73,6 +74,23 @@ def _presentation_by_subgroup_lookup(p, family, element_pairs=False) -> FpPresen
         for i, sub in enumerate(members)
     )
     return FpPresentation(generators=gens, relators=tuple(relators))
+
+
+def _relation_matrix(pres: FpPresentation) -> IntMatrix:
+    """Dense exponent-sum rows of the relators."""
+    dense = [[0] * pres.ngens for _ in pres.relators]
+    for row, word in zip(dense, pres.relators):
+        for k in word:
+            row[abs(k) - 1] += 1 if k > 0 else -1
+    return IntMatrix.from_rows(dense)
+
+
+def _abelian_presentation(orders, relators) -> FpPresentation:
+    gens = tuple(
+        PresentationGenerator(symbol=f"x{i}", order=n, element=0) for i, n in enumerate(orders)
+    )
+    power = [(i + 1,) * n for i, n in enumerate(orders)]
+    return FpPresentation(generators=gens, relators=tuple(power + list(relators)))
 
 
 def _order_or_none(pres: FpPresentation, limit: int) -> int | None:
@@ -324,11 +342,7 @@ class TestAbelianization:
                 break
             for family in (build_generator_family(p), build_hall_family(p).family):
                 pres = build_active_sum_presentation(p, family)
-                dense = [[0] * pres.ngens for _ in pres.relators]
-                for row, word in zip(dense, pres.relators):
-                    for k in word:
-                        row[abs(k) - 1] += 1 if k > 0 else -1
-                certified = abelian_quotient(IntMatrix.from_rows(dense))
+                certified = abelian_quotient(_relation_matrix(pres))
                 assert abelianized_order(pres) == certified, p
 
     @pytest.mark.parametrize(
@@ -351,6 +365,69 @@ class TestAbelianization:
         )
         with pytest.raises(InternalCheckError):
             abelianized_order(pres)
+
+    @pytest.mark.parametrize(
+        "orders, relator",
+        [
+            ((4, 4, 4), (1, 2, 3)),  # three entries
+            ((4, 4, 4), (1, 1, -2, -2)),  # 2*e0 - 2*e1: no +-1 entry
+            ((4, 2, 4), (1, -2)),  # x0 = x1 across unequal orders
+            ((4, 4, 4), (1, -2, -2)),  # x0 = 2*x1, 2 no unit mod 4
+        ],
+        ids=["three-entries", "no-unit-entry", "unequal-orders", "non-unit-weight"],
+    )
+    def test_row_of_no_active_sum_shape_is_an_internal_error(self, orders, relator):
+        pres = _abelian_presentation(orders, [relator])
+        with pytest.raises(InternalCheckError):
+            abelianized_order(pres)
+
+    def test_chain_collapses_to_z2(self):
+        # x0 = x1 = x2 of order 12, with 6*x0 = 0 and 4*x2 = 0: Z/gcd(12, 6, 4).
+        pres = _abelian_presentation((12, 12, 12), [(-1, 2), (-2, 3), (1,) * 6, (3,) * 4])
+        assert abelianized_order(pres).invariant_factors == (2,)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_relation_matrix(self, data):
+        # Classes of equal-order generators joined by unit-weight relators
+        # X_r x_a x_r X_b**e, the shape of an active-sum conjugation relator,
+        # with further relators of that shape closing cycles or, when a = b,
+        # leaving (1 - e) * e_a; the rows come in any order.
+        classes = data.draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 4)), max_size=4))
+        orders = [n for n, size in classes for _ in range(size)]
+        members, start = [], 0
+        for n, size in classes:
+            members.append(list(range(start, start + size)))
+            start += size
+
+        def relator(a, b):
+            n = orders[a]
+            e = data.draw(st.sampled_from([e for e in range(n) if math.gcd(e, n) == 1]))
+            r = data.draw(st.integers(1, len(orders)))
+            return (-r, a + 1, r) + (-(b + 1),) * e
+
+        relators = []
+        for gens in members:
+            for i in range(1, len(gens)):
+                relators.append(relator(gens[i], gens[data.draw(st.integers(0, i - 1))]))
+        for _ in range(data.draw(st.integers(0, 6)) if members else 0):
+            gens = data.draw(st.sampled_from(members))
+            relators.append(relator(data.draw(st.sampled_from(gens)), data.draw(st.sampled_from(gens))))
+        pres = _abelian_presentation(orders, data.draw(st.permutations(relators)))
+        assert abelianized_order(pres) == abelian_quotient(_relation_matrix(pres))
+
+    def test_product_over_the_transversal_of_local_quotients(self, pool_48):
+        # S^ab = (+)_T T/[T, N_G(T)] for a generating family (module docstring).
+        for p in pool_48:
+            for family in (build_generator_family(p), build_hall_family(p).family):
+                acting, generating = family.acting
+                assert generating, p
+                pres = build_active_sum_presentation(p, family, acting)
+                local = math.prod(
+                    c.representative.order // c.commutator_side.order
+                    for c in is_regular(p, family).checks
+                )
+                assert abelianized_order(pres).order == local, p
 
 
 class TestMalformedFamilies:

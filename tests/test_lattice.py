@@ -16,7 +16,6 @@ from metasum.errors import OverflowDetected
 from metasum.lattice import (
     IntMatrix,
     abelian_quotient,
-    abelian_quotient_mod,
     determinant,
     smith_diagonal,
     smith_normal_form,
@@ -153,6 +152,14 @@ class TestAbelianQuotient:
         assert structure.free_rank == 2
         assert structure.order is None
 
+    def test_no_columns(self):
+        # Z^0 is trivial: the verdict reaches this when every generator of
+        # ab(S) is eliminated and the diagonal left is empty.
+        structure = abelian_quotient(IntMatrix(entries=()))
+        assert structure.invariant_factors == ()
+        assert structure.free_rank == 0
+        assert structure.order == 1
+
     @settings(max_examples=60, deadline=None)
     @given(MATRIX_STRATEGY)
     def test_order_matches_determinant_for_square_nonsingular(self, rows):
@@ -165,75 +172,3 @@ class TestAbelianQuotient:
         structure = abelian_quotient(m)
         assert structure.order == abs(det)
         assert structure.order == math.prod(d for d in smith_diagonal(m) if d)
-
-
-def _factors(diagonal) -> tuple[int, ...]:
-    return tuple(d for d in diagonal if d > 1)
-
-
-# Lattices containing N * Z^n: a power row d_c * e_c for every column, N a
-# multiple of lcm(d_c); sparse rows with at most two nonzeros (the shape of
-# an active-sum presentation) and full-width rows whose entries are all
-# multiples of a prime dividing N, so they carry no unit and reach the dense
-# remainder.
-MODULAR_LATTICE_STRATEGY = st.integers(1, 5).flatmap(
-    lambda n: st.tuples(
-        st.just(n),
-        st.lists(st.integers(1, 12), min_size=n, max_size=n),
-        st.integers(1, 3),
-        st.lists(
-            st.lists(
-                st.tuples(st.integers(0, n - 1), st.integers(-20, 20)),
-                min_size=1,
-                max_size=2,
-            ),
-            max_size=8,
-        ),
-        st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=3),
-    )
-)
-
-
-def _smallest_prime_factor(n: int) -> int:
-    return next(q for q in range(2, n + 1) if n % q == 0)
-
-
-class TestAbelianQuotientMod:
-    @settings(max_examples=300, deadline=None)
-    @given(MODULAR_LATTICE_STRATEGY)
-    def test_matches_certified_smith_form(self, drawn):
-        n, powers, multiple, sparse, dense = drawn
-        modulus = math.lcm(*powers) * multiple
-        rows = [{c: d} for c, d in enumerate(powers)]
-        for entries in sparse:
-            row: dict[int, int] = {}
-            for c, x in entries:
-                row[c] = row.get(c, 0) + x
-            rows.append(row)
-        if modulus > 1:
-            q = _smallest_prime_factor(modulus)
-            rows += [{c: q * x for c, x in enumerate(row)} for row in dense]
-        matrix = IntMatrix.from_rows(
-            [[row.get(c, 0) for c in range(n)] for row in rows]
-        )
-        expected = _factors(smith_normal_form(matrix).diagonal)
-        structure = abelian_quotient_mod(rows, n, modulus)
-        assert structure.invariant_factors == expected
-        assert structure.free_rank == 0
-
-    def test_no_unit_pivot_goes_to_the_dense_remainder(self):
-        # 2x + 2y and 4x, 4y modulo 4: no entry is a unit, Z/4 + Z/2 remains.
-        rows = [{0: 4}, {1: 4}, {0: 2, 1: 2}]
-        assert abelian_quotient_mod(rows, 2, 4).invariant_factors == (2, 4)
-
-    def test_unit_pivots_collapse_a_chain(self):
-        # x0 = x1 = x2 with 6*x0 = 0 and 4*x2 = 0 gives Z/2.
-        rows = [{0: 6}, {1: 6}, {2: 4}, {0: 1, 1: -1}, {1: 1, 2: -1}]
-        assert abelian_quotient_mod(rows, 3, 12).invariant_factors == (2,)
-
-    def test_no_columns(self):
-        assert abelian_quotient_mod([], 0, 1).order == 1
-
-    def test_rejects_nonpositive_modulus(self):
-        with pytest.raises(ValueError):
-            abelian_quotient_mod([{0: 2}], 1, 0)
