@@ -52,8 +52,8 @@ d = gcd(|T|, e_h - 1 over h in N_K(T)), and <g_T**d> = [T, N_K(T)]
 (:mod:`metasum.families`).  For a generating family K = G and the classes
 are the components: S^ab = ⊕_T T/[T, N_G(T)] over a transversal, of order
 the product of |T| / |[T, N_G(T)]| that ``is_regular`` reports (the tests
-check this; it is not asserted).  The invariant factors come from
-``lattice.abelian_quotient`` of the roots' diagonal.
+check this; it is not asserted).  The invariant factors come from the
+roots' orders by pairwise gcd/lcm: Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b).
 
 ``verdict`` ties everything together: family checks (generating, regular,
 independent), the Ganea criterion, |S| = [S : <x_F>] * |F| by HLT coset
@@ -83,7 +83,7 @@ from .families import (
     is_independent,
     is_regular,
 )
-from .lattice import AbelianStructure, IntMatrix, abelian_quotient
+from .lattice import AbelianStructure
 from .structure import ganea_check
 
 DEFAULT_COSET_FACTOR = 10  # max_cosets defaults to this multiple of |G|
@@ -279,10 +279,19 @@ def abelianized_order(pres: FpPresentation) -> AbelianStructure:
             f"generators without a power relator: {' '.join(missing)}"
         )
     factors = [cut[c] for c in range(len(orders)) if parent[c] == c and cut[c] > 1]
-    k = len(factors)
-    return abelian_quotient(
-        IntMatrix.from_rows([[d * (i == j) for j in range(k)] for i, d in enumerate(factors)])
-    )
+    return AbelianStructure(_invariant_factors(factors), 0)
+
+
+def _invariant_factors(orders: list[int]) -> tuple[int, ...]:
+    """Invariant factors of the direct sum of Z/d over positive ``orders``:
+    each pair becomes (gcd, lcm), so after the pass over i every later entry
+    is a multiple of entry i.  Factors equal to 1 are dropped."""
+    d = orders[:]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return tuple(x for x in d if x > 1)
 
 
 @dataclass(frozen=True)

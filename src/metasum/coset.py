@@ -16,6 +16,28 @@ everywhere without defining anything, harvesting coincidences only) and
 resumes if that freed space; otherwise it raises CosetLimitExceeded.  The
 enumeration is deterministic for a fixed input.
 
+A scan is SCANANDFILL (Holt, Eick and O'Brien, *Handbook of Computational
+Group Theory*, 2005, ch. 5): it walks the word forward from alpha and
+backward from alpha until the two ends meet or leave a gap, and when a gap
+of two or more letters is left it defines the coset f^x = beta at the
+forward end and carries on from (beta, i + 1) and from the backward end it
+had reached.  Walking the whole word again from alpha would find the same
+two ends: the definition adds only the entries f^x = beta and beta^(x^-1)
+= f, and a freely reduced word never walks on out of the fresh beta, so the
+next definition, deduction or coincidence is the one the re-walk would
+find.
+
+A power relator x**n is scanned by cycles.  A forward walk that comes back
+to alpha after l steps skips the whole turns and walks only n mod l more.
+When l divides n the scan closes, and every coset of alpha's x-cycle is
+recorded as closed for that relator; a later scan of it at a recorded live
+coset returns at once.  The record stays true: coincidence processing maps
+the table onto its representatives homomorphically (a defined gamma^x =
+delta becomes rep(gamma)^x = rep(delta)), so the cycle of a live recorded
+coset still closes after a length dividing l.  The final check reads a power
+relator as "every x-cycle of the live table has a length dividing n", which
+holds exactly when x**n fixes every live coset.
+
 Coincidences are processed with a union-find structure (path-compressing
 ``rep``) and a queue, transplanting every edge of a dying coset onto its
 representative, exactly in the classical formulation.  The lower-numbered
@@ -62,9 +84,22 @@ def free_reduce(letters: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _is_power(word: Sequence[int]) -> bool:
+    """True iff the nonempty word is one letter repeated: x**n."""
+    return word.count(word[0]) == len(word)
+
+
+def _letter_word(word: Sequence[int]) -> tuple[int, ...]:
+    """A signed word as a freely reduced column-letter word; a power x**n is
+    reduced as it stands and converted in one piece."""
+    if word and _is_power(word):
+        return signed_word_to_letters(word[:1]) * len(word)
+    return free_reduce(signed_word_to_letters(word))
+
+
 def _letter_words(words: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Signed words as freely reduced column-letter words, empty ones dropped."""
-    return tuple(w for w in (free_reduce(signed_word_to_letters(v)) for v in words) if w)
+    return tuple(w for w in map(_letter_word, words) if w)
 
 
 class CosetTable:
@@ -83,6 +118,11 @@ class CosetTable:
         self.width = 2 * ngens
         self.relators = _letter_words(relators)
         self.subgroup = _letter_words(subgroup)
+        # Per relator: for a power x**n, the cosets recorded on a closed
+        # x-cycle (module docstring); None for every other relator.
+        self._closed: tuple[set[int] | None, ...] = tuple(
+            set() if _is_power(word) else None for word in self.relators
+        )
         self.max_cosets = max_cosets
         self.table: list[list[int]] = [[UNDEF] * self.width]
         self.p: list[int] = [0]
@@ -151,30 +191,54 @@ class CosetTable:
 
     # -- scanning --------------------------------------------------------------
 
-    def _scan(self, alpha: int, word: Sequence[int], fill: bool) -> None:
+    def _scan(
+        self, alpha: int, word: Sequence[int], fill: bool, closed: set[int] | None = None
+    ) -> None:
         """Trace word at alpha; fill gaps (HLT) or, with fill=False
         (lookahead), only close one-entry gaps.
 
-        May trigger coincidences.  With fill=False a multi-entry gap simply
-        leaves the scan incomplete.
+        ``closed`` is the record of a power relator (module docstring), None
+        for any other word.  May trigger coincidences.  With fill=False a
+        multi-entry gap simply leaves the scan incomplete.
         """
         table = self.table
-        while True:
-            f = alpha
-            i = 0
-            n = len(word)
+        n = len(word)
+        f = alpha
+        i = 0
+        if closed is None:
             while i < n:
                 nxt = table[f][word[i]]
                 if nxt == UNDEF:
                     break
                 f = nxt
                 i += 1
-            if i == n:
-                if f != alpha:
-                    self._coincidence(f, alpha)
-                return
-            b = alpha
-            j = n - 1
+        elif alpha in closed:
+            return
+        else:
+            x = word[0]
+            while i < n:
+                nxt = table[f][x]
+                if nxt == UNDEF:
+                    break
+                f = nxt
+                i += 1
+                if f == alpha:  # an x-cycle of length i: skip its whole turns
+                    rest = n % i
+                    if rest:
+                        for _ in range(rest):
+                            f = table[f][x]
+                    else:
+                        for _ in range(i):
+                            closed.add(f)
+                            f = table[f][x]
+                    i = n
+        if i == n:
+            if f != alpha:
+                self._coincidence(f, alpha)
+            return
+        b = alpha
+        j = n - 1
+        while True:
             while j >= i:
                 prev = table[b][word[j] ^ 1]
                 if prev == UNDEF:
@@ -189,8 +253,8 @@ class CosetTable:
                 return
             if not fill:
                 return
-            self._define(f, word[i])
-            alpha = self.rep(alpha)
+            f = self._define(f, word[i])
+            i += 1
 
     # -- HLT driver --------------------------------------------------------------
 
@@ -202,8 +266,8 @@ class CosetTable:
             if self.p[alpha] != alpha:
                 alpha += 1
                 continue
-            for word in self.relators:
-                self._scan(alpha, word, fill=True)
+            for word, closed in zip(self.relators, self._closed):
+                self._scan(alpha, word, True, closed)
                 if self.p[alpha] != alpha:
                     break
             if self.p[alpha] == alpha:
@@ -218,8 +282,8 @@ class CosetTable:
         alpha = 0
         while alpha < len(self.table):
             if self.p[alpha] == alpha:
-                for word in self.relators:
-                    self._scan(alpha, word, fill=False)
+                for word, closed in zip(self.relators, self._closed):
+                    self._scan(alpha, word, False, closed)
                     if self.p[alpha] != alpha:
                         break
             alpha += 1
@@ -232,16 +296,37 @@ class CosetTable:
             alpha = self.table[alpha][letter]
         return alpha
 
+    def _cycles_divide(self, x: int, n: int, live: list[int]) -> bool:
+        """True iff every x-cycle through the live cosets has a length
+        dividing n, that is x**n fixes every live coset (rows complete)."""
+        table = self.table
+        seen: set[int] = set()
+        for alpha in live:
+            if alpha in seen:
+                continue
+            cycle = [alpha]
+            c = table[alpha][x]
+            while c != alpha and len(cycle) < n:
+                cycle.append(c)
+                c = table[c][x]
+            if c != alpha or n % len(cycle):
+                return False
+            seen.update(cycle)
+        return True
+
     def _closed_and_consistent(self) -> bool:
         """True iff all live rows are complete, all relators scan trivially
         and every subgroup word loops at coset 0."""
-        for alpha in range(len(self.table)):
-            if self.p[alpha] != alpha:
-                continue
-            row = self.table[alpha]
-            if any(entry == UNDEF or self.p[entry] != entry for entry in row):
+        table, p = self.table, self.p
+        live = [alpha for alpha in range(len(table)) if p[alpha] == alpha]
+        for alpha in live:
+            if any(entry == UNDEF or p[entry] != entry for entry in table[alpha]):
                 return False
-            if any(self._trace(alpha, word) != alpha for word in self.relators):
+        for word, closed in zip(self.relators, self._closed):
+            if closed is not None:
+                if not self._cycles_divide(word[0], len(word), live):
+                    return False
+            elif any(self._trace(alpha, word) != alpha for alpha in live):
                 return False
         return all(self._trace(0, word) == 0 for word in self.subgroup)
 

@@ -336,6 +336,17 @@ class TestAbelianization:
         assert pres.ngens == 0
         assert abelianized_order(pres).order == 1
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 18, 25, 36, 60, 720]), max_size=6))
+    def test_invariant_factors_match_the_smith_form_of_the_diagonal(self, orders):
+        k = len(orders)
+        diagonal = IntMatrix.from_rows(
+            [[d * (i == j) for j in range(k)] for i, d in enumerate(orders)]
+        )
+        expected = abelian_quotient(diagonal)
+        assert expected.free_rank == 0
+        assert active_sum._invariant_factors(orders) == expected.invariant_factors
+
     def test_matches_certified_smith_form_up_to_order_30(self, pool_48):
         for p in pool_48:
             if p.order > 30:
