@@ -74,7 +74,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import Element, MetacyclicParams, conjugate, mul
-from .coset import todd_coxeter as _enumerate_raw
+from .coset import free_reduce, todd_coxeter as _enumerate_raw
 from .errors import CosetLimitExceeded, InternalCheckError
 from .families import (
     Family,
@@ -128,18 +128,6 @@ class FpPresentation:
         return "\n".join(lines)
 
 
-def _free_reduce_signed(word: Iterable[int]) -> tuple[int, ...]:
-    """Cancel adjacent ``k, -k`` pairs of a signed word (``coset.free_reduce``
-    does the same on column letters, the enumerator's own encoding)."""
-    out: list[int] = []
-    for k in word:
-        if out and out[-1] == -k:
-            out.pop()
-        else:
-            out.append(k)
-    return tuple(out)
-
-
 def _member_of_generator(
     p: MetacyclicParams, family: Family
 ) -> dict[tuple[int, Element], tuple[int, int]]:
@@ -169,16 +157,13 @@ def build_active_sum_presentation(
     x1**-1 x2 x1 = (x_{F2**h})**e.  Searching F2's own component
     disambiguates coincident members of different components; an image that
     is no generator there would mean the family is not conjugation closed,
-    a bug (InternalCheckError).  Member order (and hence generator
+    a bug (InternalCheckError).  Each relator is freely reduced by
+    ``coset.free_reduce``, the enumerator's own reduction, and dropped when
+    empty (the self-pairs).  Member order (and hence generator
     numbering) is the family's canonical order, so output is reproducible
     byte for byte.
     """
     members = family.subgroups
-    for sub in members:
-        if sub.generator is None:
-            raise InternalCheckError(
-                "active-sum presentations need cyclic members with generator witnesses"
-            )
     member_of = _member_of_generator(p, family)
     gens = tuple(
         PresentationGenerator(symbol=f"x{i}", order=sub.order, element=sub.generator)
@@ -194,7 +179,7 @@ def build_active_sum_presentation(
                 i_target, e = member_of[(comp, conjugate(p, sub.generator, h))]
             except KeyError:
                 raise InternalCheckError("family is not conjugation closed") from None
-            word = _free_reduce_signed([-(i1 + 1), i2 + 1, i1 + 1] + [-(i_target + 1)] * e)
+            word = free_reduce([-(i1 + 1), i2 + 1, i1 + 1] + [-(i_target + 1)] * e)
             if word:
                 relators.append(word)
     return FpPresentation(generators=gens, relators=tuple(relators))

@@ -37,7 +37,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .active_sum import build_active_sum_presentation, verdict
@@ -93,22 +92,6 @@ SCAN_COLUMNS = (
     "family_mode",
     "partial",
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation parameters, one instance per CLI run."""
-
-    command: str
-    m: int | None = None
-    s: int | None = None
-    t: int | None = None
-    r: int | None = None
-    max_order: int | None = None
-    family_mode: str = "auto"
-    max_cosets: int | None = None
-    output: str = "text"
-    jobs: int = 1
 
 
 def canonical_json(obj: Any) -> str:
@@ -275,15 +258,15 @@ def _check_max_cosets(max_cosets: int | None) -> None:
         raise ConstraintViolation(f"--max-cosets must be at least 1, got {max_cosets}")
 
 
-def cmd_verify(config: RunConfig) -> int:
-    _check_max_cosets(config.max_cosets)
-    p = validate(config.m, config.s, config.t, config.r)
-    mode = resolve_family_mode(p, config.family_mode)
+def cmd_verify(args: argparse.Namespace) -> int:
+    _check_max_cosets(args.max_cosets)
+    p = validate(args.m, args.s, args.t, args.r)
+    mode = resolve_family_mode(p, args.family_mode)
     family = build_family(p, mode)
-    payload, v = verdict_payload(p, mode, family, max_cosets=config.max_cosets)
-    if config.output == "json":
+    payload, v = verdict_payload(p, mode, family, max_cosets=args.max_cosets)
+    if args.output == "json":
         print(canonical_json(payload))
-    elif config.output == "csv":
+    elif args.output == "csv":
         _print_rows_csv([_scan_row_from(p, mode, v)])
     else:
         _print_verify_text(payload)
@@ -319,28 +302,28 @@ def pool_size(jobs: int, ntasks: int, cpus: int | None) -> int:
     return max(1, min(jobs, cpus or 1, ntasks))
 
 
-def cmd_scan(config: RunConfig) -> int:
-    _check_max_cosets(config.max_cosets)
-    if config.jobs < 1:
-        raise ConstraintViolation(f"--jobs must be at least 1, got {config.jobs}")
-    if config.max_order is None or config.max_order < 1:
+def cmd_scan(args: argparse.Namespace) -> int:
+    _check_max_cosets(args.max_cosets)
+    if args.jobs < 1:
+        raise ConstraintViolation(f"--jobs must be at least 1, got {args.jobs}")
+    if args.max_order < 1:
         raise ConstraintViolation("scan requires --max-order >= 1")
-    if config.max_order > default_cap():
+    if args.max_order > default_cap():
         raise ConstraintViolation(
-            f"--max-order {config.max_order} exceeds the enumeration cap {default_cap()}"
+            f"--max-order {args.max_order} exceeds the enumeration cap {default_cap()}"
         )
-    tuples = valid_tuples(config.max_order)
-    tasks = [(p.m, p.s, p.t, p.r, config.family_mode, config.max_cosets) for p in tuples]
-    workers = pool_size(config.jobs, len(tasks), os.cpu_count())
+    tuples = valid_tuples(args.max_order)
+    tasks = [(p.m, p.s, p.t, p.r, args.family_mode, args.max_cosets) for p in tuples]
+    workers = pool_size(args.jobs, len(tasks), os.cpu_count())
     if workers > 1:
         import multiprocessing  # here only: importing it slows every interpreter start
         with multiprocessing.Pool(workers) as pool:
             rows = pool.map(_scan_worker, tasks)
     else:
         rows = [_scan_worker(task) for task in tasks]
-    if config.output == "json":
+    if args.output == "json":
         print(canonical_json(rows))
-    elif config.output == "csv":
+    elif args.output == "csv":
         _print_rows_csv(rows)
     else:
         _print_rows_text(rows)
@@ -352,14 +335,14 @@ def cmd_scan(config: RunConfig) -> int:
 # --------------------------------------------------------------------------
 
 
-def cmd_present(config: RunConfig) -> int:
-    if config.output == "csv":
+def cmd_present(args: argparse.Namespace) -> int:
+    if args.output == "csv":
         raise ConstraintViolation("present supports text and json output only")
-    p = validate(config.m, config.s, config.t, config.r)
-    mode = resolve_family_mode(p, config.family_mode)
+    p = validate(args.m, args.s, args.t, args.r)
+    mode = resolve_family_mode(p, args.family_mode)
     family = build_family(p, mode)
     pres = build_active_sum_presentation(p, family)
-    if config.output == "json":
+    if args.output == "json":
         payload = {
             "params": {"m": p.m, "s": p.s, "t": p.t, "r": p.r},
             "family_mode": mode,
@@ -380,6 +363,11 @@ def cmd_present(config: RunConfig) -> int:
 # --------------------------------------------------------------------------
 
 
+def _comparison(closed: Any, brute: Any) -> dict:
+    """One closed-vs-brute row; ``agree`` is None when brute force was skipped."""
+    return {"closed": closed, "brute": brute, "agree": None if brute is None else closed == brute}
+
+
 def oracle_report(p: MetacyclicParams) -> dict:
     """Closed-form vs brute-force comparison table for one tuple.
 
@@ -387,65 +375,33 @@ def oracle_report(p: MetacyclicParams) -> dict:
     central quotient is larger than the homology guard; skipped rows do not
     count as disagreement.
     """
-    comparisons: dict[str, dict] = {}
-
     # Brute force first: its Cayley table checks |G| against the cap, which
     # also bounds the closed forms' loops (the order of r divides s <= |G|).
     brute_center = _sorted_elements(p, bruteforce_center(p))
-    closed_center = _sorted_elements(p, center_closed_form(p))
-    comparisons["center"] = {
-        "closed": closed_center,
-        "brute": brute_center,
-        "agree": closed_center == brute_center,
-    }
-
-    closed_derived = _sorted_elements(p, derived_closed_form(p))
-    brute_derived = _sorted_elements(p, bruteforce_derived(p))
-    comparisons["derived"] = {
-        "closed": closed_derived,
-        "brute": brute_derived,
-        "agree": closed_derived == brute_derived,
-    }
-
-    closed_cap = derived_center_intersection_order(p)
     brute_cap = bruteforce_derived_center_intersection(p)
-    comparisons["derived_center_intersection"] = {
-        "closed": closed_cap,
-        "brute": brute_cap,
-        "agree": closed_cap == brute_cap,
-    }
-
     closed_schur = schur_order_of_central_quotient(p)
     schur_note = None
     try:
         brute_schur = bruteforce_schur_of_central_quotient(p)
     except CapExceeded as exc:
-        brute_schur = None
-        schur_note = str(exc)
-    comparisons["schur"] = {
-        "closed": closed_schur,
-        "brute": brute_schur,
-        "agree": None if brute_schur is None else closed_schur == brute_schur,
+        brute_schur, schur_note = None, str(exc)
+    comparisons = {
+        "center": _comparison(_sorted_elements(p, center_closed_form(p)), brute_center),
+        "derived": _comparison(
+            _sorted_elements(p, derived_closed_form(p)), _sorted_elements(p, bruteforce_derived(p))
+        ),
+        "derived_center_intersection": _comparison(derived_center_intersection_order(p), brute_cap),
+        "schur": _comparison(closed_schur, brute_schur),
+        "ganea": _comparison(
+            ganea_check(p).surjective, None if brute_schur is None else brute_schur <= brute_cap
+        ),
     }
     if schur_note is not None:
         comparisons["schur"]["note"] = schur_note
-
-    closed_ganea = ganea_check(p)
-    comparisons["ganea"] = {
-        "closed": bool(closed_ganea.surjective),
-        "brute": None
-        if brute_schur is None
-        else bool(brute_schur <= brute_cap),
-        "agree": None
-        if brute_schur is None
-        else bool(closed_ganea.surjective) == (brute_schur <= brute_cap),
-    }
-
-    all_agree = all(c["agree"] is not False for c in comparisons.values())
     return {
         "params": {"m": p.m, "s": p.s, "t": p.t, "r": p.r},
         "comparisons": comparisons,
-        "all_agree": all_agree,
+        "all_agree": all(c["agree"] is not False for c in comparisons.values()),
     }
 
 
@@ -468,12 +424,12 @@ def _print_oracle_text(report: dict) -> None:
     print(f"all agree: {_fmt_bool(report['all_agree'])}")
 
 
-def cmd_oracle(config: RunConfig) -> int:
-    if config.output == "csv":
+def cmd_oracle(args: argparse.Namespace) -> int:
+    if args.output == "csv":
         raise ConstraintViolation("oracle supports text and json output only")
-    p = validate(config.m, config.s, config.t, config.r)
+    p = validate(args.m, args.s, args.t, args.r)
     report = oracle_report(p)
-    if config.output == "json":
+    if args.output == "json":
         print(canonical_json(report))
     else:
         _print_oracle_text(report)
@@ -556,39 +512,22 @@ def build_parser() -> _Parser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        m=getattr(args, "m", None),
-        s=getattr(args, "s", None),
-        t=getattr(args, "t", None),
-        r=getattr(args, "r", None),
-        max_order=getattr(args, "max_order", None),
-        family_mode=getattr(args, "family_mode", "auto"),
-        max_cosets=getattr(args, "max_cosets", None),
-        output=getattr(args, "output", "text"),
-        jobs=getattr(args, "jobs", 1),
-    )
-
-
-def run(config: RunConfig) -> int:
-    if config.command == "verify":
-        return cmd_verify(config)
-    if config.command == "scan":
-        return cmd_scan(config)
-    if config.command == "present":
-        return cmd_present(config)
-    if config.command == "oracle":
-        return cmd_oracle(config)
-    raise ConstraintViolation(f"unknown command {config.command!r}")
+def run(args: argparse.Namespace) -> int:
+    if args.command == "verify":
+        return cmd_verify(args)
+    if args.command == "scan":
+        return cmd_scan(args)
+    if args.command == "present":
+        return cmd_present(args)
+    if args.command == "oracle":
+        return cmd_oracle(args)
+    raise ConstraintViolation(f"unknown command {args.command!r}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = config_from_args(args)
+    args = build_parser().parse_args(argv)
     try:
-        return run(config)
+        return run(args)
     except ConstraintViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -45,7 +45,8 @@ coset survives a merge, so coset 0 stays live.
 
 Letters: generator i (0-based) is column 2*i, its inverse is column 2*i + 1,
 so ``letter ^ 1`` inverts.  Public entry points accept words over signed
-integers (+-(i+1)) and convert.
+integers (+-(i+1)), freely reduce them there (``free_reduce``, which the
+active-sum presentations share) and convert.
 """
 
 from __future__ import annotations
@@ -73,14 +74,15 @@ def signed_word_to_letters(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(letters)
 
 
-def free_reduce(letters: Sequence[int]) -> tuple[int, ...]:
-    """Cancel adjacent inverse pairs."""
+def free_reduce(word: Iterable[int]) -> tuple[int, ...]:
+    """Cancel adjacent inverse pairs ``k, -k`` of a signed word (0 is kept,
+    so ``signed_word_to_letters`` still rejects it)."""
     out: list[int] = []
-    for letter in letters:
-        if out and out[-1] == letter ^ 1:
+    for k in word:
+        if out and k and out[-1] == -k:
             out.pop()
         else:
-            out.append(letter)
+            out.append(k)
     return tuple(out)
 
 
@@ -94,7 +96,7 @@ def _letter_word(word: Sequence[int]) -> tuple[int, ...]:
     reduced as it stands and converted in one piece."""
     if word and _is_power(word):
         return signed_word_to_letters(word[:1]) * len(word)
-    return free_reduce(signed_word_to_letters(word))
+    return signed_word_to_letters(free_reduce(word))
 
 
 def _letter_words(words: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

@@ -95,6 +95,8 @@ class Family:
     subgroup ``subgroups[i]`` belonging to the conjugation orbit (component)
     labelled ``components[i]``.  Distinct components may repeat the same
     underlying subgroup; within one component all members are distinct.
+    Every member is cyclic with its generator witness set: the regularity,
+    independence and presentation code reads it without checking.
     """
 
     params: MetacyclicParams
@@ -107,6 +109,8 @@ class Family:
         keys = [(sub.key, comp) for sub, comp in zip(self.subgroups, self.components)]
         if keys != sorted(keys):
             raise InternalCheckError("family members must be sorted by (element set, component)")
+        if any(sub.generator is None for sub in self.subgroups):
+            raise InternalCheckError("family members must be cyclic with generator witnesses")
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -145,16 +149,16 @@ class Family:
         whose generator lies outside the span acts too, in canonical order.
         A family that still falls short has every member acting.
         """
-        gens = [[s.generator] if s.generator is not None else s.key for s in self.subgroups]
+        gens = [s.generator for s in self.subgroups]
         first: dict[int, int] = {}
         for i, comp in enumerate(self.components):
             first.setdefault(comp, i)
         acting = sorted(first.values())
-        span = generate_subgroup(self.params, (g for i in acting for g in gens[i]))
+        span = generate_subgroup(self.params, (gens[i] for i in acting))
         for i in range(len(self)):
-            if span.order < self.params.order and not span.elements.issuperset(gens[i]):
+            if span.order < self.params.order and gens[i] not in span.elements:
                 acting = sorted(acting + [i])
-                span = generate_subgroup(self.params, (g for k in acting for g in gens[k]))
+                span = generate_subgroup(self.params, (gens[k] for k in acting))
         if span.order < self.params.order:
             return tuple(range(len(self))), False
         return tuple(acting), True
@@ -197,7 +201,9 @@ def _conjugation_maps(p: MetacyclicParams) -> tuple[Callable, Callable]:
 def _orbit_of(p: MetacyclicParams, seed: Subgroup) -> tuple[dict[Subgroup, Element], list]:
     """The conjugation orbit of seed with a conjugator w (seed**w = F) per member
     F, and the walk's edges (w, x, F') to known members F' = F**x: the w*x*w'**-1
-    (w' the conjugator of F') are the Schreier generators of N_G(seed)."""
+    (w' the conjugator of F') are the Schreier generators of N_G(seed).  The
+    seed need not be cyclic (``hall`` walks a Hall subgroup's conjugates);
+    without a generator witness its conjugates have none either."""
     steps = tuple(zip(defining_generators(p), _conjugation_maps(p)))
     orbit = {seed: 0}
     closing: list[tuple[Element, Element, Subgroup]] = []
@@ -225,7 +231,8 @@ def conjugacy_closure(
     """Close each nontrivial seed under conjugation by G, one component each.
 
     Conjugating by the two defining generators repeatedly reaches every
-    G-conjugate.  By default every nontrivial seed opens its own component
+    G-conjugate; seeds carry a generator witness, as every :class:`Family`
+    member must.  By default every nontrivial seed opens its own component
     even when two seeds have the same orbit (indexed semantics); with
     ``distinct_orbits=True`` a seed whose orbit was already produced by an
     earlier seed is skipped (set semantics).  Whether the result generates G
@@ -317,8 +324,6 @@ def is_regular(p: MetacyclicParams, family: Family) -> RegularityReport:
     found = transversal(p, family)
     checks = []
     for rep, schreier in zip(found.representatives, found.normalizer_generators):
-        if rep.generator is None:
-            raise InternalCheckError("regularity check requires cyclic members with generators")
         g, span = rep.generator, 1  # span = lcm of the orders of [g, h] = |F|/d
         for h in schreier:
             span = math.lcm(span, element_order(p, commutator(p, g, h)))
@@ -363,8 +368,6 @@ def is_independent(p: MetacyclicParams, family: Family) -> IndependenceReport:
     """
     derived = derived_closed_form(p).elements
     reps = transversal(p, family).representatives
-    if any(rep.generator is None for rep in reps):
-        raise InternalCheckError("independence check requires cyclic members with generators")
     local_orders = tuple(rep.order // len(rep.elements & derived) for rep in reps)
     g = twist_gcd(p)
     target = g * p.s

@@ -9,14 +9,15 @@ the oracle of the route below and of the closed form of G/G' in
 
 Invariant factors without a certificate come from ``smith_diagonal``, which
 skips U and V; ``abelian_quotient`` reads the quotient's isomorphism type off
-it.  The verdict calls it only on the diagonal that
-``active_sum.abelianized_order`` leaves of ab(S), the abelianized active sum.
+it.  No verdict reduces a matrix: ab(S) is a weighted union-find in
+``active_sum.abelianized_order``, which takes only ``AbelianStructure`` here.
 
 Arithmetic is exact (Python integers).  Entry magnitudes are nevertheless
-checked against a configurable limit after every elementary operation and
-OverflowDetected is raised when the reduction blows up; the default limit is
-far beyond anything the desk-scale inputs of this package produce, so hitting
-it indicates pathological input rather than normal operation.
+checked against ``DEFAULT_ENTRY_LIMIT``, read when a reduction starts, after
+every elementary operation, and OverflowDetected is raised when the reduction
+blows up; the limit is far beyond anything the desk-scale inputs of this
+package produce, so hitting it indicates pathological input rather than
+normal operation.
 
 Pivoting picks a nonzero entry of least absolute value in the remaining
 block, which keeps intermediate growth tame for small matrices.
@@ -127,14 +128,14 @@ class _Reducer:
     only the diagonal is needed and the certificates would dominate the cost.
     """
 
-    def __init__(self, mat: IntMatrix, entry_limit: int, track: bool = True):
+    def __init__(self, mat: IntMatrix, track: bool = True):
         self.a = mat.to_lists()
         self.rows = mat.rows
         self.cols = mat.cols
         self.track = track
         self.u = IntMatrix.identity(mat.rows).to_lists() if track else []
         self.v = IntMatrix.identity(mat.cols).to_lists() if track else []
-        self.limit = entry_limit
+        self.limit = DEFAULT_ENTRY_LIMIT
 
     def _check(self, values: Iterable[int]) -> None:
         for x in values:
@@ -227,15 +228,13 @@ class _Reducer:
             k += 1
 
 
-def smith_normal_form(
-    mat: IntMatrix, entry_limit: int = DEFAULT_ENTRY_LIMIT
-) -> SmithNormalForm:
+def smith_normal_form(mat: IntMatrix) -> SmithNormalForm:
     """Diagonalise mat over Z, returning the certificate (D, U, V).
 
     Postconditions (verified in tests): U @ mat @ V = D; det(U), det(V) are
     +-1; the diagonal of D is nonnegative and forms a divisibility chain.
     """
-    red = _Reducer(mat, entry_limit)
+    red = _Reducer(mat)
     red.reduce()
     d = IntMatrix.from_rows(red.a)
     u = IntMatrix.from_rows(red.u)
@@ -243,14 +242,14 @@ def smith_normal_form(
     return SmithNormalForm(d=d, u=u, v=v)
 
 
-def smith_diagonal(mat: IntMatrix, entry_limit: int = DEFAULT_ENTRY_LIMIT) -> tuple[int, ...]:
+def smith_diagonal(mat: IntMatrix) -> tuple[int, ...]:
     """Diagonal of the Smith form only, without transformation certificates.
 
     Same invariant factors as smith_normal_form, but skips the U/V
     bookkeeping; prefer this for large boundary matrices where only ranks
     and torsion are needed.
     """
-    red = _Reducer(mat, entry_limit, track=False)
+    red = _Reducer(mat, track=False)
     red.reduce()
     n = min(red.rows, red.cols)
     return tuple(red.a[i][i] for i in range(n))

@@ -3,7 +3,7 @@
 For G = <a, b | a**m, b**s = a**t, b**-1 a b = a**r> the following classical
 descriptions hold and are implemented here:
 
-* derived subgroup:  G' = <a**(r-1)>;
+* derived subgroup:  G' = <a**(r-1)>, the powers a**i with gcd(r-1, m) | i;
 * center:            Z(G) = <a**k, b**s'> where k = m / gcd(r-1, m) and
   s' is the multiplicative order of r modulo m;
 * the central quotient G/Z(G) is again metacyclic with parameters
@@ -38,14 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import (
     CayleyTable, MetacyclicParams, Subgroup, _check_cap, cayley_table, generate_subgroup,
     geometric_sum_mod,
 )
 from .errors import CapExceeded, InternalCheckError
-from .lattice import DEFAULT_ENTRY_LIMIT, IntMatrix, smith_diagonal
+from .lattice import IntMatrix, smith_diagonal
 
 
 def multiplicative_order(r: int, m: int) -> int:
@@ -81,15 +80,11 @@ def center_closed_form(p: MetacyclicParams) -> Subgroup:
 
 
 def derived_closed_form(p: MetacyclicParams) -> Subgroup:
-    """G' = <a**(r-1)> materialised as an element set; cached per p, with the
-    closure's own cap condition |G'| = m/gcd(m, r-1) checked before lookup."""
-    _check_cap(p.m // twist_gcd(p), "derived subgroup order")
-    return _derived_closed_form(p)
-
-
-@lru_cache(maxsize=64)
-def _derived_closed_form(p: MetacyclicParams) -> Subgroup:
-    return generate_subgroup(p, [(p.r - 1) % p.m * p.s])
+    """G' = <a**(r-1)> listed from its exponent: the powers a**i with
+    g = gcd(m, r-1) dividing i, |G'| = m/g checked against the cap first."""
+    g = twist_gcd(p)
+    _check_cap(p.m // g, "derived subgroup order")
+    return Subgroup(frozenset(range(0, p.m * p.s, g * p.s)), generator=(p.r - 1) % p.m * p.s)
 
 
 def schur_order_of_central_quotient(p: MetacyclicParams) -> int:
@@ -211,7 +206,7 @@ def _normalized_bar_boundaries(q: np.ndarray) -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix.from_rows(rows2), IntMatrix.from_rows(rows3)
 
 
-def multiplier_order_from_table(q: np.ndarray, entry_limit: int = DEFAULT_ENTRY_LIMIT) -> int:
+def multiplier_order_from_table(q: np.ndarray) -> int:
     """|H2(Q; Z)| — the Schur multiplier order — from a multiplication table.
 
     H2 = ker d2 / im d3 on normalized bar chains.  ker d2 is a direct summand
@@ -227,8 +222,8 @@ def multiplier_order_from_table(q: np.ndarray, entry_limit: int = DEFAULT_ENTRY_
     if n == 1:
         return 1
     d2, d3 = _normalized_bar_boundaries(q)
-    rank2 = sum(1 for x in smith_diagonal(d2, entry_limit) if x)
-    diag3 = smith_diagonal(d3, entry_limit)
+    rank2 = sum(1 for x in smith_diagonal(d2) if x)
+    diag3 = smith_diagonal(d3)
     rank3 = sum(1 for x in diag3 if x)
     kernel_rank = (n - 1) ** 2 - rank2
     if kernel_rank != rank3:
@@ -243,22 +238,20 @@ def multiplier_order_from_table(q: np.ndarray, entry_limit: int = DEFAULT_ENTRY_
     return order
 
 
-def bruteforce_schur_of_central_quotient(
-    p: MetacyclicParams, quotient_limit: int = DEFAULT_HOMOLOGY_LIMIT
-) -> int:
+def bruteforce_schur_of_central_quotient(p: MetacyclicParams) -> int:
     """Multiplier order of G/Z(G) with no closed forms anywhere in the route.
 
     The center comes from a commutation scan of the Cayley table, the
     quotient table from least-index coset representatives, and the multiplier
     from bar-resolution homology.  Raises CapExceeded when the central
-    quotient is larger than ``quotient_limit``.
+    quotient is larger than ``DEFAULT_HOMOLOGY_LIMIT``.
     """
     tab = cayley_table(p)
     qt = quotient_table(tab, tab.center_idx)
-    if qt.shape[0] > quotient_limit:
+    if qt.shape[0] > DEFAULT_HOMOLOGY_LIMIT:
         raise CapExceeded(
             f"central quotient has order {qt.shape[0]}, "
-            f"above the homology guard {quotient_limit}"
+            f"above the homology guard {DEFAULT_HOMOLOGY_LIMIT}"
         )
     return multiplier_order_from_table(qt)
 
@@ -269,11 +262,9 @@ def bruteforce_derived_center_intersection(p: MetacyclicParams) -> int:
     return len(set(tab.center_idx.tolist()) & set(tab.derived_idx.tolist()))
 
 
-def bruteforce_ganea(
-    p: MetacyclicParams, quotient_limit: int = DEFAULT_HOMOLOGY_LIMIT
-) -> GaneaCheck:
+def bruteforce_ganea(p: MetacyclicParams) -> GaneaCheck:
     """Both sides of the Ganea surjectivity criterion, via brute force only."""
     return GaneaCheck(
-        h2_order=bruteforce_schur_of_central_quotient(p, quotient_limit),
+        h2_order=bruteforce_schur_of_central_quotient(p),
         cap_order=bruteforce_derived_center_intersection(p),
     )

@@ -37,17 +37,17 @@ class TestWordEncoding:
         assert signed_word_to_letters([-1]) == (1,)
 
     def test_free_reduce_cancels_adjacent_inverses(self):
-        assert free_reduce(signed_word_to_letters([1, -1, 2])) == (2,)
-        assert free_reduce(signed_word_to_letters([1, 2, -2, -1])) == ()
-        assert free_reduce(signed_word_to_letters([1, 2, 1])) == (0, 2, 0)
+        assert free_reduce([1, -1, 2]) == (2,)
+        assert free_reduce([1, 2, -2, -1]) == ()
+        assert free_reduce([1, 2, 1]) == (1, 2, 1)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=12))
     def test_free_reduce_is_idempotent_and_no_shorter_cancellation(self, word):
-        reduced = free_reduce(signed_word_to_letters(word))
+        reduced = free_reduce(word)
         assert free_reduce(reduced) == reduced
         for a, b in zip(reduced, reduced[1:]):
-            assert a ^ 1 != b  # adjacent letters never cancel
+            assert a != -b  # adjacent letters never cancel
 
 
 class TestCyclicCalibration:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metasum import lattice
 from metasum.errors import OverflowDetected
 from metasum.lattice import (
     IntMatrix,
@@ -88,10 +89,11 @@ class TestSmithNormalForm:
         m = IntMatrix.from_rows([[3, 1, 4], [1, 5, 9], [2, 6, 5]])
         assert smith_diagonal(m) == smith_normal_form(m).diagonal
 
-    def test_entry_limit_guard(self):
+    def test_entry_limit_guard(self, monkeypatch):
+        monkeypatch.setattr(lattice, "DEFAULT_ENTRY_LIMIT", 10)
         m = IntMatrix.from_rows([[1000, 3], [7, 1000]])
         with pytest.raises(OverflowDetected):
-            smith_normal_form(m, entry_limit=10)
+            smith_normal_form(m)
 
 
 MATRIX_STRATEGY = st.integers(1, 5).flatmap(

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metasum import structure
 from metasum.core import cayley_table, cyclic_subgroup, validate
 from metasum.errors import CapExceeded
 from metasum.structure import (
@@ -165,10 +166,11 @@ class TestBruteForceRoutes:
         assert (brute.h2_order, brute.cap_order) == (closed.h2_order, closed.cap_order)
         assert brute.surjective == closed.surjective
 
-    def test_homology_guard(self, q8):
-        with pytest.raises(CapExceeded):
-            bruteforce_schur_of_central_quotient(q8, quotient_limit=1)
+    def test_homology_guard(self, q8, monkeypatch):
         assert DEFAULT_HOMOLOGY_LIMIT >= 12
+        monkeypatch.setattr(structure, "DEFAULT_HOMOLOGY_LIMIT", 1)
+        with pytest.raises(CapExceeded):
+            bruteforce_schur_of_central_quotient(q8)
 
 
 class TestClosedVersusBruteSampled:
