@@ -201,9 +201,7 @@ def _conjugation_maps(p: MetacyclicParams) -> tuple[Callable, Callable]:
 def _orbit_of(p: MetacyclicParams, seed: Subgroup) -> tuple[dict[Subgroup, Element], list]:
     """The conjugation orbit of seed with a conjugator w (seed**w = F) per member
     F, and the walk's edges (w, x, F') to known members F' = F**x: the w*x*w'**-1
-    (w' the conjugator of F') are the Schreier generators of N_G(seed).  The
-    seed need not be cyclic (``hall`` walks a Hall subgroup's conjugates);
-    without a generator witness its conjugates have none either."""
+    (w' the conjugator of F') are the Schreier generators of N_G(seed)."""
     steps = tuple(zip(defining_generators(p), _conjugation_maps(p)))
     orbit = {seed: 0}
     closing: list[tuple[Element, Element, Subgroup]] = []
@@ -213,7 +211,7 @@ def _orbit_of(p: MetacyclicParams, seed: Subgroup) -> tuple[dict[Subgroup, Eleme
         w = orbit[sub]
         for x, f in steps:
             gen = None if sub.generator is None else f(sub.generator)
-            stays = gen in sub.elements or sub.order == p.order  # <g**x> = <g>; G**x = G
+            stays = gen in sub.elements  # <g**x> = <g>
             conj = sub if stays else Subgroup(frozenset(map(f, sub.elements)), generator=gen)
             if conj not in orbit:
                 orbit[conj] = mul(p, w, x)

@@ -11,10 +11,7 @@ of cyclic subgroups whose active sum recovers G:
 
 * ``V`` — the pi'-part of the cyclic kernel <a> (always normal in G),
 * ``U`` — the pi'-part of <b>; the decomposition requires N = V x| U with
-  U centralising H and gcd(r - 1, |V|) = 1, plus G' ∩ H = H' and
-  G' ∩ N = V.  The last needs no test: G' lies in <a> and N ∩ <a> = V, so
-  G' ∩ N = V iff |V| divides |G'| = m/gcd(m, r-1), which holds as |V|
-  divides m and is prime to r - 1,
+  U centralising H, gcd(r - 1, |V|) = 1, G' ∩ H = H' and G' ∩ N = V,
 * per Sylow subgroup H_q of H (H nilpotent means every such set of q-power
   order elements really is a subgroup): a two-generator factorisation
   H_q = <alpha> <beta> with <alpha> normal and the divisibility condition
@@ -24,16 +21,36 @@ of cyclic subgroups whose active sum recovers G:
   what the active-sum argument needs locally.
 
 The search tries prime sets in decreasing size (then lexicographically) and
-returns the first one for which every condition holds, in plain integer
-arithmetic with closed-form element orders and G'.  The pi-parts alpha =
-pi(a), beta = pi(b) of the defining generators span a Hall pi-subgroup H0
-(the pi-part of <a> is normal, and the pi-part of b covers the pi-share of
-G/<a>), so the candidate Hall subgroups are the conjugates H0**w, walked
-with their conjugators w by ``families._orbit_of``.  Nilpotency and
-G' ∩ H = H' transfer along conjugation and are tested once; U = <u>
-centralises H0**w iff u commutes with alpha**w and beta**w, tested in
-ascending order of the conjugates' element tuples.  Neither N nor a Sylow
-subgroup is closed:
+returns the first that passes three tests, in plain integer arithmetic: the
+pi'-elements number |G|_pi' (counted, below), gcd(r - 1, m_pi') = 1, and H
+is nilpotent.  With alpha = pi(a), beta = pi(b) = b**e, u = pi'(b), and
+m_pi, m_pi', s_pi, s_pi' the parts of m and s, the rest follows:
+
+1. A passing count makes N the normal Hall pi'-subgroup, so |V| = m_pi'.
+2. V ∩ U lies in <a> ∩ <b> = <a**t>, central as m | t*(r - 1).  A
+   nontrivial v there has v**b = v, so its order divides r - 1 and |V|:
+   the gcd test leaves V ∩ U = 1.
+3. N/V is the pi'-part of the cyclic G/<a>, generated by the image of u
+   (b's generates G/<a>, beta's is a pi-element).  So N = V U, and
+   |V| |U| = |N| says V ∩ U = 1.
+4. u**(s_pi') lies in <a> ∩ U, inside V ∩ U = 1.  So u**s = 1,
+   b**(s_pi') = beta**(s_pi'), and b**s = a**t is a pi-element: m_pi' | t.
+   So H0 = {a**i b**j : m_pi' | i, s_pi' | j} is closed under ``core.mul``
+   (the carry a**t keeps m_pi' | i) and holds alpha and beta, so it is
+   <alpha, beta>: both have |G|_pi elements, as G = <alpha, beta> N.
+5. <alpha> and N are normal of coprime orders, so [alpha, u] = 1; u and
+   beta are powers of b.  So U centralises H0.
+6. G' = <a**(r-1)> lies in <a>: its pi'-part G' ∩ N is V, as m_pi' is
+   prime to r - 1.  By 5, u = b**(1 - e) fixes alpha, so r = r**e
+   (mod m_pi), and its pi-part G' ∩ H0 is <alpha**(r-1)> =
+   <alpha**(r**e - 1)> = <[alpha, beta]> = H0' (below).
+7. A conjugate of H0 has the same columns j (G/<a> is abelian) and one
+   coset {a**i : i = c_j mod m_pi'} of <alpha> per column (<alpha> is
+   normal).  Only H0 has every c_j = 0, so it has the least element tuple
+   of its conjugates: the canonical choice of H.
+
+``_try_prime_set`` re-checks 4 and 5 on alpha and beta.  Neither N nor a
+Sylow subgroup is closed:
 
 * N and the Sylow sets are counted.  G is solvable, so (P. Hall) its
   pi'-elements are the union of its Hall pi'-subgroups, and the q-elements
@@ -62,13 +79,13 @@ from .core import (
     Element,
     MetacyclicParams,
     Subgroup,
+    _check_cap,
     commutator,
     conjugate,
     cyclic_subgroup,
     element_log,
     element_order,
     element_orders,
-    generate_subgroup,
     geometric_sum_mod,
     inverse,
     mul,
@@ -79,13 +96,11 @@ from .errors import InternalCheckError, SearchFailed
 from .families import (
     Family,
     Transversal,
-    _orbit_of,
     conjugacy_closure,
     defining_generators,
     transversal,
     xgcd,
 )
-from .structure import derived_closed_form
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
@@ -237,56 +252,33 @@ def _factor_sylow(p: MetacyclicParams, prime: int, order_of: dict) -> SylowFacto
 
 
 def _try_prime_set(p: MetacyclicParams, primes: tuple[int, ...]) -> HallDecomposition | None:
-    _, n_target = _split_by_primes(p.order, primes)
+    """The decomposition for ``primes``, or None if a test rejects it (module docstring)."""
+    (m_pi, zeta), (s_pi, s_rest) = _split_by_primes(p.m, primes), _split_by_primes(p.s, primes)
     n_columns = _pi_prime_progressions(p, primes)
-    n_count = sum(p.m // step for _, _, step in n_columns)
-    if n_count != n_target:
+    if sum(p.m // step for _, _, step in n_columns) != zeta * s_rest:
         return None  # the pi'-elements do not form a Hall subgroup
+    _check_cap(m_pi * s_pi, "Hall subgroup order")
+    if math.gcd(p.r - 1, zeta) != 1:
+        return None  # V ∩ U is nontrivial
+    rows, columns = range(0, p.m, zeta), range(0, p.s, s_rest)
+    hall = Subgroup(frozenset(i * p.s + j for i in rows for j in columns))
     a, b = defining_generators(p)
     alpha, beta = pi_part(p, a, primes), pi_part(p, b, primes)
-    h0 = generate_subgroup(p, [alpha, beta])
-    if h0.order * n_target != p.order:
-        raise InternalCheckError(
-            "pi-parts of the defining generators must span a Hall subgroup"
-        )
-    split = _sylow_split(p, h0.key)
+    u = pi_complement_part(p, b, primes)
+    if not {alpha, beta} <= hall.elements or any(commutator(p, u, y) for y in (alpha, beta)):
+        raise InternalCheckError("pi(a) and pi(b) must lie in H0 and commute with pi'(b)")
+    split = _sylow_split(p, hall.key)
     if split is None:
-        return None  # Hall subgroup not nilpotent; conjugates are isomorphic
+        return None  # H0 is not nilpotent
 
-    zeta = _split_by_primes(p.m, primes)[1]
     v = p.m // zeta % p.m * p.s
     kernel_part = cyclic_subgroup(p, v)
-    u = pi_complement_part(p, b, primes)
     top_part = cyclic_subgroup(p, u)
-    if len(kernel_part.elements & top_part.elements) != 1:
-        return None
-    if kernel_part.order * top_part.order != n_count:
-        return None  # N does not split as V x| U
-    if math.gcd(p.r - 1, kernel_part.order) != 1:
-        return None
     n_elems = (i * p.s + j for j, i0, step in n_columns for i in range(i0, p.m, step))
     normal = Subgroup(frozenset(n_elems))
-    derived = derived_closed_form(p).elements
-    if derived & h0.elements != cyclic_subgroup(p, commutator(p, alpha, beta)).elements:
-        return None  # G' ∩ H != H' (conjugation-invariant, so checked once)
-
-    conjugates, _ = _orbit_of(p, h0)
-    for hall in sorted(conjugates, key=lambda sub: sub.key):
-        w = conjugates[hall]
-        if all(commutator(p, u, conjugate(p, y, w)) == 0 for y in (alpha, beta)):
-            break
-    else:
-        return None  # U centralises no Hall pi-subgroup
-    if hall is not h0:  # H0 itself is the orbit's seed: its split is known
-        split = _sylow_split(p, hall.key)
-    if split is None:
-        raise InternalCheckError("nilpotency must be conjugation invariant")
-
     eta = 1 if kernel_part.is_trivial else element_log(p, v, conjugate(p, v, u))
     if pow(eta, top_part.order, kernel_part.order) != 1 % kernel_part.order:
-        raise InternalCheckError(
-            "the conjugation exponent of U on V must have order dividing |U|"
-        )
+        raise InternalCheckError("the conjugation exponent of U on V must have order dividing |U|")
 
     return HallDecomposition(
         params=p,

@@ -28,6 +28,7 @@ from metasum.core import (
     mul,
     validate,
 )
+from metasum.errors import CapExceeded
 from metasum.families import (
     _orbit_of,
     defining_generators,
@@ -41,6 +42,7 @@ from metasum.hall import (
     _pi_prime_progressions,
     _split_by_primes,
     _sylow_split,
+    _try_prime_set,
     build_hall_family,
     hall_decomposition,
     pi_complement_part,
@@ -164,6 +166,48 @@ class TestTableFreeSubgroupTests:
                 assert _closed_under_product(tab, np.array(list(sel))), (p, subset)
                 counted += 1
         assert counted > 20000
+
+
+class TestListedHallSubgroup:
+    def test_facts_the_search_does_not_test_to_order_60(self, pool_100):
+        """For every prime set that passes the pi'-count and gcd(r - 1, m_pi') = 1,
+        on the table: the listed H0 is <pi(a), pi(b)> and the search's H, V ∩ U = 1,
+        |V|·|U| = |N|, u = pi'(b) commutes with pi(a) and pi(b),
+        G' ∩ H0 = <[pi(a), pi(b)]>, and H0 is the least of its conjugate rows."""
+        checked = 0
+        for p, subset, alpha, beta, h0 in _hall_prime_sets(60, pool_100):
+            tab = cayley_table(p)
+            zeta, s_rest = (_split_by_primes(n, subset)[1] for n in (p.m, p.s))
+            n_idx = np.nonzero(np.gcd(tab.orders, math.prod(subset)) == 1)[0]
+            if n_idx.size != zeta * s_rest or math.gcd(p.r - 1, zeta) != 1:
+                continue
+            listed = [i * p.s + j for i in range(0, p.m, zeta) for j in range(0, p.s, s_rest)]
+            assert listed == list(h0.key), (p, subset)
+            found = _try_prime_set(p, subset)
+            assert found is None or found.hall_subgroup.key == h0.key, (p, subset)
+            u = pi_complement_part(p, defining_generators(p)[1], subset)
+            kernel = tab.closure_idx([p.m // zeta % p.m * p.s])
+            top = tab.closure_idx([u])
+            assert np.intersect1d(kernel, top).tolist() == [0], (p, subset)
+            assert kernel.size * top.size == n_idx.size, (p, subset)
+            assert tab.commute(np.array([u]), np.array([alpha, beta])), (p, subset)
+            h0_idx = np.array(h0.key)
+            comm = tab.table[tab.table[tab.inv[alpha], tab.inv[beta]], tab.table[alpha, beta]]
+            meet = np.intersect1d(tab.derived_idx, h0_idx)
+            assert np.array_equal(meet, tab.closure_idx([comm])), (p, subset)
+            rows = np.unique(np.sort(tab.conj[:, h0_idx], axis=1), axis=0)
+            assert np.array_equal(rows[0], h0_idx), (p, subset)
+            checked += 1
+        assert checked > 4000
+
+    def test_cap_below_the_whole_group_refuses(self, s3, monkeypatch):
+        """pi = all primes is tried first, and its H0 is G: a cap below |G|
+        refuses it before H0 is listed, though the search settles on pi = {2}."""
+        monkeypatch.setenv("METASUM_CAP", "5")
+        with pytest.raises(CapExceeded, match="Hall subgroup order 6"):
+            hall_decomposition(s3)
+        monkeypatch.setenv("METASUM_CAP", "6")
+        assert hall_decomposition(s3).primes == (2,)
 
 
 class TestPiPrimeProgressions:

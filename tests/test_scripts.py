@@ -34,3 +34,18 @@ def test_show_examples_runs(family):
     lines = proc.stdout.splitlines()
     assert [line for line in lines if line.startswith("===")] == SHOWCASE_HEADERS
     assert "family generators: (0,1) (1,0) (1,1) (2,1)" in lines  # S3 under either mode
+
+
+def test_structure_digest_to_order_24():
+    """Both lines of ``structure_digest.py`` at a small order, frozen."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "structure_digest.py"), "24"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "f5456e6661120fe3d8cf5e41c908fb46fa14a9286f7f3e8d018011150cbfe498  hall  order<=24",
+        "5bde84b2494b3946fc6e10b16c470205021481b9538bf553928be1f6754bc1b2  transversals  order<=24",
+    ]
